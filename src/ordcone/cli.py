@@ -160,6 +160,17 @@ def parse_vector(text: str, expected: int, what: str) -> Vec:
         raise CLIError(f"bad value in {what}: {exc}") from exc
 
 
+def count_arg(text: str) -> int:
+    """argparse type for counts (--cap, --samples): a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def add_weight_options(parser: argparse.ArgumentParser, with_k: bool = True) -> None:
     if with_k:
         parser.add_argument("--k", type=int, help="number of quality categories")
@@ -837,7 +848,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument(
-        "--cap", type=int, default=100_000, help="path-count cap for all-paths work"
+        "--cap", type=count_arg, default=100_000, help="path-count cap for all-paths work"
     )
     parser.add_argument(
         "--strict",
@@ -889,7 +900,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", help="optional graph JSON file (enables the solver check)")
     p.add_argument("--source", help="required with --graph")
     p.add_argument("--target", help="required with --graph")
-    p.add_argument("--samples", type=int, default=50, help="sampled dominance pairs")
+    p.add_argument("--samples", type=count_arg, default=50, help="sampled dominance pairs")
     p.add_argument(
         "--debug-corrupt-facet",
         type=int,

@@ -9,6 +9,15 @@ correct: cycles can only add nonnegative transformed cost, so only simple
 paths matter, and a label whose transformed cost is strictly dominated at a
 node can never complete into an efficient path.
 
+Labels carry integer-scaled transformed costs: once per search, every
+transformed edge cost is multiplied by one positive integer (the LCM of the
+facet-matrix denominators times the LCM of the edge-length denominators).
+One positive factor keeps both the componentwise order used for pruning and
+the lexicographic order of the heap, so the search visits, keeps and returns
+exactly what it would on the rationals, while every comparison is on plain
+ints.  Counting vectors are not carried by labels; they are rebuilt once per
+returned path with `counting_vector`.
+
 Two result modes exist.  `one_per_vector` returns one representative path
 per efficient outcome vector; `all_paths` returns every efficient path,
 bounded by an explicit cap because ties can multiply paths combinatorially.
@@ -21,12 +30,15 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite, lcm
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from ordcone.cone import NotPointed, Weights, facet_matrix
 from ordcone.exactnum import Vec, rational, transpose, vec_add, zeros
 
 Path = tuple[int, ...]
+ScaledCost = tuple[int, ...]
 
 MODES = ("one_per_vector", "all_paths")
 
@@ -131,7 +143,7 @@ class CategoryGraph:
             edge_entries = data["edges"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"graph document is missing required key: {exc}") from exc
-        if not isinstance(k, int):
+        if isinstance(k, bool) or not isinstance(k, int):
             raise GraphError(f'"K" must be an integer, got {k!r}')
         nodes: list[str] = []
         coords: dict[str, tuple[float, float]] = {}
@@ -144,7 +156,15 @@ class CategoryGraph:
                 raise GraphError(f"node id must be a string, got {node_id!r}")
             nodes.append(node_id)
             if "lat" in entry and "lon" in entry:
-                coords[node_id] = (float(entry["lat"]), float(entry["lon"]))
+                try:
+                    lat, lon = float(entry["lat"]), float(entry["lon"])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise GraphError(
+                        f"node {node_id!r}: lat and lon must be numbers: {exc}"
+                    ) from exc
+                if not (isfinite(lat) and isfinite(lon)):
+                    raise GraphError(f"node {node_id!r}: lat and lon must be finite")
+                coords[node_id] = (lat, lon)
         edges: list[Edge] = []
         for entry in edge_entries:
             try:
@@ -158,7 +178,7 @@ class CategoryGraph:
                 raise GraphError(
                     f"edge {src}->{dst}: length must be a decimal string, not a float"
                 )
-            if not isinstance(category, int):
+            if isinstance(category, bool) or not isinstance(category, int):
                 raise GraphError(f"edge {src}->{dst}: category must be an integer")
             try:
                 length = rational(raw_length)
@@ -194,20 +214,26 @@ def counting_vector(graph: CategoryGraph, path: Path) -> Vec:
 
 
 class _Label:
-    __slots__ = ("node", "tcost", "raw", "visited", "pred", "edge")
+    __slots__ = ("node", "tcost", "visited", "pred", "edge")
 
-    def __init__(self, node, tcost, raw, visited, pred, edge) -> None:
+    def __init__(self, node, tcost, visited, pred, edge) -> None:
         self.node = node
         self.tcost = tcost
-        self.raw = raw
         self.visited = visited
         self.pred = pred
         self.edge = edge
 
 
-def _strictly_dominated(tcost: Vec, permanent: list[Vec], merge_equal: bool) -> bool:
+def _scaled(value: Fraction, scale: int) -> int:
+    """value * scale as an int; scale must be a multiple of value's denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _strictly_dominated(
+    tcost: ScaledCost, permanent: list[ScaledCost], merge_equal: bool
+) -> bool:
     for other in permanent:
-        if all(a <= b for a, b in zip(other, tcost)):
+        if all(map(le, other, tcost)):
             if other != tcost or merge_equal:
                 return True
     return False
@@ -234,10 +260,13 @@ def efficient_paths(
 
     Returns (edge-index path, counting vector) pairs, ordered
     lexicographically by transformed cost and, among ties, by discovery
-    order (which follows node-id-sorted adjacency).  An unreachable target
-    yields an empty list; source == target yields the empty path.  The
-    weights must be pointed; degenerate weights have no strict dominance to
-    prune with (merge them first, see cone.merge_degenerate).
+    order (which follows node-id-sorted adjacency).  Labels hold transformed
+    costs scaled to exact ints by one positive factor, which changes neither
+    order; each returned counting vector is rebuilt once from its path.  An
+    unreachable target yields an empty list; source == target yields the
+    empty path.  The weights must be pointed; degenerate weights have no
+    strict dominance to prune with (merge them first, see
+    cone.merge_degenerate).
     """
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -257,9 +286,16 @@ def efficient_paths(
         return [((), zeros(graph.k))]
 
     hrep = facet_matrix(weights)
-    columns = transpose(hrep.rows)
-    cost_of_edge: list[Vec] = [
-        tuple(edge.length * c for c in columns[edge.category - 1])
+    matrix_scale = lcm(*(x.denominator for row in hrep.rows for x in row))
+    length_scale = lcm(*(edge.length.denominator for edge in graph.edges))
+    columns = transpose(
+        tuple(tuple(_scaled(x, matrix_scale) for x in row) for row in hrep.rows)
+    )
+    cost_of_edge: list[ScaledCost] = [
+        tuple(
+            _scaled(edge.length, length_scale) * c
+            for c in columns[edge.category - 1]
+        )
         for edge in graph.edges
     ]
     merge_equal = mode == "one_per_vector"
@@ -268,16 +304,15 @@ def efficient_paths(
     counter = itertools.count()
     start = _Label(
         node=source,
-        tcost=zeros(rows),
-        raw=zeros(graph.k),
+        tcost=(0,) * rows,
         visited=frozenset((source,)),
         pred=None,
         edge=None,
     )
-    heap: list[tuple[Vec, str, int, _Label]] = [
+    heap: list[tuple[ScaledCost, str, int, _Label]] = [
         (start.tcost, source, next(counter), start)
     ]
-    permanent: dict[str, list[Vec]] = {name: [] for name in graph.nodes}
+    permanent: dict[str, list[ScaledCost]] = {name: [] for name in graph.nodes}
     finished: list[_Label] = []
     while heap:
         _, _, _, label = heapq.heappop(heap)
@@ -300,8 +335,6 @@ def efficient_paths(
             tcost = vec_add(label.tcost, cost_of_edge[edge_index])
             if _strictly_dominated(tcost, permanent[edge.dst], merge_equal):
                 continue
-            raw = list(label.raw)
-            raw[edge.category - 1] += edge.length
             heapq.heappush(
                 heap,
                 (
@@ -311,14 +344,14 @@ def efficient_paths(
                     _Label(
                         node=edge.dst,
                         tcost=tcost,
-                        raw=tuple(raw),
                         visited=label.visited | {edge.dst},
                         pred=label,
                         edge=edge_index,
                     ),
                 ),
             )
-    return [(_path_of(label), label.raw) for label in finished]
+    paths = [_path_of(label) for label in finished]
+    return [(path, counting_vector(graph, path)) for path in paths]
 
 
 @dataclass(frozen=True)

@@ -71,20 +71,24 @@ def random_graph(
     max_nodes: int = 12,
     max_edges: int = 30,
     max_length: int = 5,
+    fractional: bool = False,
 ) -> tuple[CategoryGraph, str, str]:
-    """Random digraph with integer lengths; returns (graph, source, target)."""
+    """Random digraph; returns (graph, source, target).
+
+    Lengths are integers in 1..max_length, or with fractional=True a/b with
+    a in 1..4*max_length and b in 1..4.  Both settings consume the random
+    stream in the same order, category before length, for every edge.
+    """
     n = rng.randint(2, max_nodes)
     names = [f"n{i:02d}" for i in range(n)]
     m = rng.randint(1, max_edges)
     edges = []
     for _ in range(m):
         a, b = rng.sample(range(n), 2)
-        edges.append(
-            Edge(
-                src=names[a],
-                dst=names[b],
-                category=rng.randint(1, k),
-                length=Fraction(rng.randint(1, max_length)),
-            )
-        )
+        category = rng.randint(1, k)
+        if fractional:
+            length = Fraction(rng.randint(1, 4 * max_length), rng.randint(1, 4))
+        else:
+            length = Fraction(rng.randint(1, max_length))
+        edges.append(Edge(src=names[a], dst=names[b], category=category, length=length))
     return CategoryGraph(k=k, nodes=names, edges=edges), names[0], names[-1]

@@ -101,6 +101,15 @@ def test_usage_and_input_errors_exit_one(capsys):
             "--mode", "fastest")[0]
         == 1
     )
+    negative_counts = (
+        ("--cap", "-1", "route", "--graph", LOOP, "--source", "s", "--target", "t",
+         "--omega", "1", "--mode", "all_paths"),
+        ("verify", "--k", "2", "--omega", "1", "--samples", "-5"),
+    )
+    for args in negative_counts:
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_dominates_json(capsys):

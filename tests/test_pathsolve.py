@@ -10,6 +10,7 @@ import pytest
 from instancegen import load_fixture, pointed_weights, random_graph
 from ordcone.cone import NotPointed, classify_weights, facet_matrix
 from ordcone.dominance import PointSet, filter_nondominated
+from ordcone.exactnum import mat_vec
 from ordcone.oracle import enumerate_simple_paths
 from ordcone.pathsolve import (
     BadEdge,
@@ -91,6 +92,12 @@ def test_from_dict_round_trip_and_rejections():
     rejects(lambda d: d["edges"][0].update(length="-1"))
     rejects(lambda d: d["edges"][0].update(category="1"))
     rejects(lambda d: d["edges"][0].update(category=3))
+    rejects(lambda d: d["edges"][0].update(category=True))
+    rejects(lambda d: d.update(K=True))
+    rejects(lambda d: d["nodes"][0].update(lat="abc", lon=0))
+    rejects(lambda d: d["nodes"][0].update(lat=0, lon=None))
+    rejects(lambda d: d["nodes"][0].update(lat="nan", lon=0))
+    rejects(lambda d: d["nodes"][0].update(lat=0, lon=10**400))
 
 
 def test_adjacency_is_sorted_and_deterministic():
@@ -197,11 +204,16 @@ def test_results_are_deterministic():
 
 
 def test_solver_matches_enumeration_small_random():
+    # Fractional lengths and weights make the solver's integer scaling of
+    # transformed costs use factors other than 1.
     rng = random.Random(17)
     checked = 0
+    fractional_lengths = 0
     while checked < 12:
         k = rng.randint(2, 3)
-        graph, source, target = random_graph(rng, k, max_nodes=8, max_edges=14)
+        graph, source, target = random_graph(
+            rng, k, max_nodes=8, max_edges=14, fractional=True
+        )
         w = pointed_weights(rng, k)
         try:
             paths = enumerate_simple_paths(graph, source, target, cap=3000)
@@ -226,7 +238,13 @@ def test_solver_matches_enumeration_small_random():
             assert counts == counting_vector(graph, path)
             nodes = graph.path_nodes(path)
             assert len(set(nodes)) == len(nodes)
+        rows = facet_matrix(w).rows
+        for results in (solved, one):
+            costs = [mat_vec(rows, v) for _, v in results]
+            assert costs == sorted(costs)
+        fractional_lengths += any(e.length.denominator != 1 for e in graph.edges)
         checked += 1
+    assert fractional_lengths > 0
 
 
 def test_weight_sweep_records_errors_per_row():
