@@ -31,6 +31,7 @@ from pathlib import Path as FilePath
 from typing import Sequence
 
 from ordcone.cone import (
+    SPECIAL_KINDS,
     ConeError,
     FormulaInapplicable,
     NegativeWeight,
@@ -106,17 +107,21 @@ class RunConfig:
     strict: bool
 
 
+def _decimal_places(denominator: int) -> int | None:
+    """Digits after the point of a fraction over this denominator, None if not 10-smooth."""
+    twos = fives = 0
+    while denominator % 2 == 0:
+        denominator //= 2
+        twos += 1
+    while denominator % 5 == 0:
+        denominator //= 5
+        fives += 1
+    return max(twos, fives) if denominator == 1 else None
+
+
 def fmt_exact(value: Fraction) -> str:
     """Render a rational exactly: decimal when finite, num/den otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    reduced = value.denominator
-    exponent = 0
-    for base in (2, 5):
-        while reduced % base == 0:
-            reduced //= base
-            exponent += 1
-    if reduced != 1:
+    if _decimal_places(value.denominator) is None:
         return f"{value.numerator}/{value.denominator}"
     return fmt_decimal(value)
 
@@ -125,17 +130,9 @@ def fmt_decimal(value: Fraction) -> str:
     """Exact decimal expansion; fails when the denominator is not 10-smooth."""
     if value.denominator == 1:
         return str(value.numerator)
-    twos = fives = 0
-    reduced = value.denominator
-    while reduced % 2 == 0:
-        reduced //= 2
-        twos += 1
-    while reduced % 5 == 0:
-        reduced //= 5
-        fives += 1
-    if reduced != 1:
+    places = _decimal_places(value.denominator)
+    if places is None:
         raise CLIError(f"{value} has no finite decimal expansion")
-    places = max(twos, fives)
     scaled = abs(value.numerator) * 10**places // value.denominator
     digits = str(scaled).rjust(places + 1, "0")
     sign = "-" if value.numerator < 0 else ""
@@ -204,27 +201,70 @@ def weights_from_options(ns: argparse.Namespace, k: int) -> Weights:
     return classify_weights(k, omega, gamma)
 
 
-def resolve_weights(
-    config: RunConfig, ns: argparse.Namespace, k: int
-) -> tuple[Weights, Weights, Mat | None]:
-    """Classify, then merge degenerate pairs unless --strict forbids it.
+@dataclass(frozen=True)
+class OutcomeSpace:
+    """The outcome space a command works in.
 
-    Returns (original, active, lift); lift is None when no merge happened.
+    `active` is `original` with its degenerate pairs merged away and `lift`
+    the matrix carrying original outcome vectors into the merged space.
+    When the weights are pointed nothing is merged: `active` is `original`,
+    `lift` is None, and both maps return their input unchanged.
     """
-    original = weights_from_options(ns, k)
-    if original.pointed:
-        return original, original, None
-    if config.strict:
+
+    original: Weights
+    active: Weights
+    lift: Mat | None = None
+
+    @property
+    def merged(self) -> bool:
+        return self.lift is not None
+
+    def map_vector(self, y: Vec) -> Vec:
+        return y if self.lift is None else mat_vec(self.lift, y)
+
+    def map_graph(self, graph: CategoryGraph) -> CategoryGraph:
+        """Carry a graph into the merged space.
+
+        Each original category maps to the single merged category whose lift
+        row touches it, scaling the edge length by the row entry.
+        """
+        if self.lift is None:
+            return graph
+        into = {
+            original_cat: (merged_cat, factor)
+            for merged_cat, row in enumerate(self.lift, start=1)
+            for original_cat, factor in enumerate(row, start=1)
+            if factor != 0
+        }
+        edges = [
+            Edge(e.src, e.dst, into[e.category][0], e.length * into[e.category][1])
+            for e in graph.edges
+        ]
+        return CategoryGraph(self.active.k, graph.nodes, edges, graph.coords)
+
+
+def outcome_space(weights: Weights, strict: bool) -> OutcomeSpace:
+    """Merge degenerate pairs away, or reject them when `strict` is set."""
+    if weights.pointed:
+        return OutcomeSpace(weights, weights)
+    if strict:
         raise NotPointed(
-            f"degenerate weight pairs {original.degenerate} rejected under --strict"
+            f"degenerate weight pairs {weights.degenerate} rejected under --strict"
         )
-    active, lift = merge_degenerate(original)
-    print(
-        f"notice: degenerate pairs {list(original.degenerate)} merged; "
-        f"continuing with K={active.k}",
-        file=sys.stderr,
-    )
-    return original, active, lift
+    active, lift = merge_degenerate(weights)
+    return OutcomeSpace(weights, active, lift)
+
+
+def command_space(config: RunConfig, ns: argparse.Namespace, k: int) -> OutcomeSpace:
+    """The outcome space of a command's weight options; a merge is noted on stderr."""
+    space = outcome_space(weights_from_options(ns, k), config.strict)
+    if space.merged:
+        print(
+            f"notice: degenerate pairs {list(space.original.degenerate)} merged; "
+            f"continuing with K={space.active.k}",
+            file=sys.stderr,
+        )
+    return space
 
 
 def load_graph(path: str) -> CategoryGraph:
@@ -239,32 +279,6 @@ def load_graph(path: str) -> CategoryGraph:
     return CategoryGraph.from_dict(data)
 
 
-def merged_graph(graph: CategoryGraph, lift: Mat) -> CategoryGraph:
-    """Carry a graph into the merged outcome space defined by a lift matrix.
-
-    Each original category maps to the single merged category whose lift row
-    touches it, scaling the edge length by the row entry.
-    """
-    merged_k = len(lift)
-    category_map: dict[int, tuple[int, Fraction]] = {}
-    for original_cat in range(1, graph.k + 1):
-        for merged_cat in range(1, merged_k + 1):
-            factor = lift[merged_cat - 1][original_cat - 1]
-            if factor != 0:
-                category_map[original_cat] = (merged_cat, factor)
-                break
-    edges = [
-        Edge(
-            src=e.src,
-            dst=e.dst,
-            category=category_map[e.category][0],
-            length=e.length * category_map[e.category][1],
-        )
-        for e in graph.edges
-    ]
-    return CategoryGraph(k=merged_k, nodes=graph.nodes, edges=edges, coords=graph.coords)
-
-
 def emit_json(payload: object) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -276,7 +290,8 @@ def emit_json(payload: object) -> None:
 def cmd_cone(config: RunConfig, ns: argparse.Namespace) -> int:
     if ns.k is None:
         raise CLIError("--k is required for the cone command")
-    original, active, lift = resolve_weights(config, ns, ns.k)
+    space = command_space(config, ns, ns.k)
+    original, active = space.original, space.active
     vrep = mark_extreme_rays(spanning_rays(active))
     hrep = facet_matrix(active)
     try:
@@ -286,7 +301,7 @@ def cmd_cone(config: RunConfig, ns: argparse.Namespace) -> int:
         count = None
         count_note = str(exc)
     kinds = []
-    for kind in ("pareto", "standard_ordinal", "gamma_zero", "omega_zero", "k2", "weighted_sum"):
+    for kind in SPECIAL_KINDS:
         try:
             special_matrix(kind, original)
         except SpecialCaseMismatch:
@@ -302,14 +317,14 @@ def cmd_cone(config: RunConfig, ns: argparse.Namespace) -> int:
             "classification": original.classification,
             "degenerate_pairs": list(original.degenerate),
             "special_cases": kinds,
-            "merged": None
-            if lift is None
-            else {
+            "merged": {
                 "k": active.k,
                 "omega": json_vec(active.omega),
                 "gamma": json_vec(active.gamma),
-                "lift": [json_vec(row) for row in lift],
-            },
+                "lift": [json_vec(row) for row in space.lift],
+            }
+            if space.merged
+            else None,
             "spanning_rays": [
                 {
                     "label": label,
@@ -338,7 +353,7 @@ def cmd_cone(config: RunConfig, ns: argparse.Namespace) -> int:
     print(f"classification: {original.classification}")
     if original.degenerate:
         print(f"degenerate pairs: {list(original.degenerate)}")
-    if lift is not None:
+    if space.merged:
         print(
             f"merged to K={active.k}: omega=[{', '.join(json_vec(active.omega))}] "
             f"gamma=[{', '.join(json_vec(active.gamma))}]"
@@ -368,12 +383,12 @@ def cmd_cone(config: RunConfig, ns: argparse.Namespace) -> int:
 def cmd_dominates(config: RunConfig, ns: argparse.Namespace) -> int:
     if ns.k is None:
         raise CLIError("--k is required for the dominates command")
-    original, active, lift = resolve_weights(config, ns, ns.k)
-    y1 = parse_vector(ns.y1, original.k, "--y1")
-    y2 = parse_vector(ns.y2, original.k, "--y2")
-    a1 = mat_vec(lift, y1) if lift is not None else y1
-    a2 = mat_vec(lift, y2) if lift is not None else y2
-    hrep = facet_matrix(active)
+    space = command_space(config, ns, ns.k)
+    y1 = parse_vector(ns.y1, ns.k, "--y1")
+    y2 = parse_vector(ns.y2, ns.k, "--y2")
+    a1 = space.map_vector(y1)
+    a2 = space.map_vector(y2)
+    hrep = facet_matrix(space.active)
     weak = weakly_dominates(hrep, a1, a2)
     strict = dominates(hrep, a1, a2)
     reverse_weak = weakly_dominates(hrep, a2, a1)
@@ -385,7 +400,7 @@ def cmd_dominates(config: RunConfig, ns: argparse.Namespace) -> int:
                 "weakly_dominates": weak,
                 "dominates": strict,
                 "reverse_weakly_dominates": reverse_weak,
-                "merged": lift is not None,
+                "merged": space.merged,
             }
         )
         return 0
@@ -433,17 +448,12 @@ def load_points(ns: argparse.Namespace, k: int) -> PointSet:
 def cmd_filter(config: RunConfig, ns: argparse.Namespace) -> int:
     if ns.k is None:
         raise CLIError("--k is required for the filter command")
-    original, active, lift = resolve_weights(config, ns, ns.k)
-    points = load_points(ns, original.k)
-    work = (
-        PointSet(
-            points=tuple(mat_vec(lift, p) for p in points.points), ids=points.ids
-        )
-        if lift is not None
-        else points
+    space = command_space(config, ns, ns.k)
+    points = load_points(ns, ns.k)
+    work = PointSet(
+        points=tuple(space.map_vector(p) for p in points.points), ids=points.ids
     )
-    hrep = facet_matrix(active)
-    kept = filter_nondominated(hrep, work)
+    kept = filter_nondominated(facet_matrix(space.active), work)
     kept_ids = set(kept.ids)
     survivors = [
         (pid, point) for pid, point in zip(points.ids, points.points) if pid in kept_ids
@@ -456,7 +466,7 @@ def cmd_filter(config: RunConfig, ns: argparse.Namespace) -> int:
                 ],
                 "kept_count": len(survivors),
                 "input_count": len(points.points),
-                "merged": lift is not None,
+                "merged": space.merged,
             }
         )
         return 0
@@ -470,16 +480,12 @@ def cmd_filter(config: RunConfig, ns: argparse.Namespace) -> int:
 # route / sweep
 
 
-def route_document(
-    config: RunConfig,
-    graph: CategoryGraph,
-    ns: argparse.Namespace,
-) -> dict:
-    original, active, lift = resolve_weights(config, ns, graph.k)
-    work_graph = merged_graph(graph, lift) if lift is not None else graph
+def route_document(config: RunConfig, graph: CategoryGraph, ns: argparse.Namespace) -> dict:
+    space = command_space(config, ns, graph.k)
+    active = space.active
     cap = config.cap if ns.mode == "all_paths" else None
     results = efficient_paths(
-        work_graph, ns.source, ns.target, active, mode=ns.mode, cap=cap
+        space.map_graph(graph), ns.source, ns.target, active, mode=ns.mode, cap=cap
     )
     hrep = facet_matrix(active)
     paths = []
@@ -490,24 +496,23 @@ def route_document(
             "count_vector": json_vec(counting_vector(graph, path)),
             "transformed_cost": json_vec(mat_vec(hrep.rows, active_counts)),
         }
-        if lift is not None:
+        if space.merged:
             entry["merged_count_vector"] = json_vec(active_counts)
         paths.append(entry)
-    document = {
+    return {
         "source": ns.source,
         "target": ns.target,
         "mode": ns.mode,
         "k": graph.k,
-        "omega": json_vec(original.omega),
-        "gamma": json_vec(original.gamma),
-        "merged": None
-        if lift is None
-        else {"k": active.k, "omega": json_vec(active.omega), "gamma": json_vec(active.gamma)},
+        "omega": json_vec(space.original.omega),
+        "gamma": json_vec(space.original.gamma),
+        "merged": {"k": active.k, "omega": json_vec(active.omega), "gamma": json_vec(active.gamma)}
+        if space.merged
+        else None,
         "paths": paths,
         "path_count": len(paths),
         "vector_count": len({counts for _, counts in results}),
     }
-    return document
 
 
 def cmd_route(config: RunConfig, ns: argparse.Namespace) -> int:
@@ -547,42 +552,23 @@ def cmd_sweep(config: RunConfig, ns: argparse.Namespace) -> int:
     gamma_cells = parse_grid(ns.gamma_grid, graph.k, "--gamma-grid")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["omega", "gamma", "vector_count", "path_count", "runtime_ms"])
+    cap = config.cap if ns.mode == "all_paths" else None
     for omega in omega_cells:
         for gamma in gamma_cells:
             omega_text = ",".join(fmt_exact(v) for v in omega)
             gamma_text = ",".join(fmt_exact(v) for v in gamma)
             try:
-                weights = classify_weights(graph.k, omega, gamma)
+                space = outcome_space(classify_weights(graph.k, omega, gamma), config.strict)
             except ConeError as exc:
-                print(
-                    f"sweep: omega={omega_text} gamma={gamma_text}: {exc}",
-                    file=sys.stderr,
-                )
-                writer.writerow([omega_text, gamma_text, "", "", ""])
-                continue
-            if not weights.pointed:
-                if config.strict:
-                    print(
-                        f"sweep: omega={omega_text} gamma={gamma_text}: degenerate "
-                        f"pairs {list(weights.degenerate)} rejected under --strict",
-                        file=sys.stderr,
-                    )
-                    writer.writerow([omega_text, gamma_text, "", "", ""])
-                    continue
-                merged, lift = merge_degenerate(weights)
-                work_graph = merged_graph(graph, lift)
-                weights = merged
+                error: str | None = str(exc)
             else:
-                work_graph = graph
-            cap = config.cap if ns.mode == "all_paths" else None
-            row = weight_sweep(
-                work_graph, ns.source, ns.target, [weights], mode=ns.mode, cap=cap
-            )[0]
-            if row.error is not None:
-                print(
-                    f"sweep: omega={omega_text} gamma={gamma_text}: {row.error}",
-                    file=sys.stderr,
-                )
+                row = weight_sweep(
+                    space.map_graph(graph), ns.source, ns.target, [space.active],
+                    mode=ns.mode, cap=cap,
+                )[0]
+                error = row.error
+            if error is not None:
+                print(f"sweep: omega={omega_text} gamma={gamma_text}: {error}", file=sys.stderr)
                 writer.writerow([omega_text, gamma_text, "", "", ""])
                 continue
             runtime = "" if ns.no_timings else f"{row.runtime_ms:.3f}"
@@ -604,7 +590,8 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
         k = ns.k
     else:
         raise CLIError("verify needs --k or --graph")
-    original, active, lift = resolve_weights(config, ns, k)
+    space = command_space(config, ns, k)
+    active = space.active
     checks: list[tuple[str, str, str]] = []  # name, status, detail
 
     vrep = spanning_rays(active)
@@ -639,44 +626,36 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
     marked = mark_extreme_rays(vrep)
     mask = marked.extreme_mask or ()
     kept_columns = [c for c, flag in zip(marked.columns, mask) if flag]
-    extreme_ok = True
     details: list[str] = []
-    for idx, (column, flag) in enumerate(zip(marked.columns, mask)):
-        if flag:
-            others = [c for c in kept_columns if c is not column]
-            cert = ray_membership(others, column)
-            if cert.feasible:
-                extreme_ok = False
-                details.append(f"column {marked.labels[idx]} marked extreme yet redundant")
-        else:
-            cert = ray_membership(kept_columns, column)
-            if not cert.feasible:
-                extreme_ok = False
-                details.append(
-                    f"column {marked.labels[idx]} unmarked but not generated by marked rays"
-                )
+    for label, column, flag in zip(marked.labels, marked.columns, mask):
+        others = [c for c in kept_columns if c is not column]
+        if ray_membership(others, column).feasible == flag:
+            details.append(
+                f"column {label} marked extreme yet redundant"
+                if flag
+                else f"column {label} unmarked but not generated by marked rays"
+            )
     checks.append(
         (
             "extreme-rays-vs-membership",
-            "ok" if extreme_ok else "mismatch",
-            f"{sum(mask)} of {len(mask)} columns extreme" if extreme_ok else "; ".join(details),
+            "mismatch" if details else "ok",
+            "; ".join(details) if details else f"{sum(mask)} of {len(mask)} columns extreme",
         )
     )
 
     rng = random.Random(config.seed)
     mismatches = 0
     for _ in range(ns.samples):
-        y1 = tuple(Fraction(rng.randint(0, 6)) for _ in range(original.k))
-        y2 = tuple(Fraction(rng.randint(0, 6)) for _ in range(original.k))
-        a1 = mat_vec(lift, y1) if lift is not None else y1
-        a2 = mat_vec(lift, y2) if lift is not None else y2
-        primary = all(dot(row, vec_sub(a2, a1)) >= 0 for row in rows)
-        cert = ray_membership(vrep, vec_sub(a2, a1))
-        if primary != cert.feasible or not cert.verify(vrep.columns, vec_sub(a2, a1)):
+        y1 = tuple(Fraction(rng.randint(0, 6)) for _ in range(k))
+        y2 = tuple(Fraction(rng.randint(0, 6)) for _ in range(k))
+        difference = vec_sub(space.map_vector(y2), space.map_vector(y1))
+        primary = all(dot(row, difference) >= 0 for row in rows)
+        cert = ray_membership(vrep, difference)
+        if primary != cert.feasible or not cert.verify(vrep.columns, difference):
             mismatches += 1
             continue
         if primary and not sampled_dual_check(
-            original, y1, y2, samples=10, seed=rng.randint(0, 10**9)
+            space.original, y1, y2, samples=10, seed=rng.randint(0, 10**9)
         ):
             mismatches += 1
     checks.append(
@@ -690,7 +669,7 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
     )
 
     if graph is not None:
-        work_graph = merged_graph(graph, lift) if lift is not None else graph
+        work_graph = space.map_graph(graph)
         try:
             all_paths = enumerate_simple_paths(work_graph, ns.source, ns.target, cap=config.cap)
         except PathCapExceeded:
@@ -709,7 +688,7 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
             if all_paths:
                 outcomes = [counting_vector(work_graph, p) for p in all_paths]
                 kept = filter_nondominated(
-                    facet_matrix(active),
+                    hrep,
                     PointSet.from_vectors(outcomes, ids=[str(i) for i in range(len(outcomes))]),
                 )
                 expected = {tuple(p) for p, v in zip(all_paths, outcomes) if v in set(kept.points)}
@@ -718,23 +697,16 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
                 expected = set()
                 reference_vectors = set()
             got = {p for p, _ in solved}
-            got_vectors = {v for _, v in solved}
-            if got == expected and got_vectors == reference_vectors:
-                checks.append(
-                    (
-                        "solver-vs-enumeration",
-                        "ok",
-                        f"{len(got)} efficient paths over {len(all_paths)} simple paths",
-                    )
+            agree = got == expected and {v for _, v in solved} == reference_vectors
+            checks.append(
+                (
+                    "solver-vs-enumeration",
+                    "ok" if agree else "mismatch",
+                    f"{len(got)} efficient paths over {len(all_paths)} simple paths"
+                    if agree
+                    else f"solver {len(got)} paths vs enumeration {len(expected)}",
                 )
-            else:
-                checks.append(
-                    (
-                        "solver-vs-enumeration",
-                        "mismatch",
-                        f"solver {len(got)} paths vs enumeration {len(expected)}",
-                    )
-                )
+            )
 
     failed = [c for c in checks if c[1] == "mismatch"]
     if config.json_out:
@@ -765,9 +737,17 @@ def cmd_export_geojson(config: RunConfig, ns: argparse.Namespace) -> int:
         raise CLIError(f"cannot read result file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CLIError(f"result file is not valid JSON: {exc}") from exc
-    paths = result.get("paths")
+    paths = result.get("paths") if isinstance(result, dict) else None
     if not isinstance(paths, list):
         raise CLIError('result file lacks a "paths" list; is it a route document?')
+    for index, entry in enumerate(paths):
+        nodes = entry.get("nodes", []) if isinstance(entry, dict) else None
+        if not (
+            isinstance(nodes, list)
+            and all(isinstance(node, str) for node in nodes)
+            and isinstance(entry.get("count_vector", []), list)
+        ):
+            raise CLIError(f"path {index} of the result file is not a route path object")
     needed = {node for entry in paths for node in entry.get("nodes", [])}
     if ns.include_edges:
         needed.update(n for e in graph.edges for n in (e.src, e.dst))
@@ -830,10 +810,13 @@ def cmd_export_geojson(config: RunConfig, ns: argparse.Namespace) -> int:
 def parse_exact(text: str) -> Fraction:
     """Parse an exact value as emitted by this tool: decimal or num/den."""
     text = str(text).strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return parse_decimal(text)
+    try:
+        if "/" in text:
+            num, _, den = text.partition("/")
+            return Fraction(int(num), int(den))
+        return parse_decimal(text)
+    except (ValueError, ZeroDivisionError):
+        raise CLIError(f"not an exact value: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -934,10 +917,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if ns.command == "verify" and ns.graph and not (ns.source and ns.target):
             raise CLIError("verify with --graph needs --source and --target")
         return ns.handler(config, ns)
-    except (NegativeWeight, ProductExceedsOne) as exc:
-        print(f"weights error: {exc}", file=sys.stderr)
-        return 2
-    except NotPointed as exc:
+    except (NegativeWeight, ProductExceedsOne, NotPointed) as exc:
         print(f"weights error: {exc}", file=sys.stderr)
         return 2
     except PathCapExceeded as exc:

@@ -31,19 +31,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ordcone.exactnum import (
     Mat,
     Vec,
+    dot,
     identity,
     is_zero,
     mat_mul,
     normalize_ray,
     rank,
-    rational,
+    rank_reaches,
     vec,
-    zeros,
 )
 
 
@@ -204,85 +204,36 @@ def spanning_rays(weights: Weights) -> ConeVRep:
     return ConeVRep(k=k, columns=tuple(columns), labels=tuple(labels))
 
 
-def _prune_parallel(
-    rows: list[tuple[Vec, Fraction]],
-) -> list[tuple[Vec, Fraction]]:
-    """Collapse inequality rows with proportional coefficients, keeping the tightest."""
-    best: dict[Vec, Fraction] = {}
-    order: list[Vec] = []
-    for coeffs, rhs in rows:
-        scale = None
-        for c in coeffs:
-            if c != 0:
-                scale = abs(c)
-                break
-        if scale is None:
-            key = coeffs
-        else:
-            key = tuple(c / scale for c in coeffs)
-            rhs = rhs / scale
-        if key not in best:
-            best[key] = rhs
-            order.append(key)
-        elif rhs < best[key]:
-            best[key] = rhs
-    return [(key, best[key]) for key in order]
-
-
-def _nonneg_combination_feasible(target: Vec, columns: Sequence[Vec]) -> bool:
-    """Exact feasibility of target = sum_j lambda_j * columns[j], lambda >= 0.
-
-    Solved by Fourier-Motzkin elimination on the system
-    {B lam <= t, -B lam <= -t, -lam <= 0}; the tiny dimensions here
-    (at most 2(K-1) unknowns) keep the elimination cheap.
-    """
-    m = len(columns)
-    if m == 0:
-        return is_zero(target)
-    rows: list[tuple[Vec, Fraction]] = []
-    for i in range(len(target)):
-        coeffs = tuple(col[i] for col in columns)
-        rows.append((coeffs, target[i]))
-        rows.append((tuple(-c for c in coeffs), -target[i]))
-    for j in range(m):
-        unit = tuple(Fraction(-1) if jj == j else Fraction(0) for jj in range(m))
-        rows.append((unit, Fraction(0)))
-    for var in range(m):
-        pos = [(c, b) for c, b in rows if c[var] > 0]
-        neg = [(c, b) for c, b in rows if c[var] < 0]
-        kept = [(c, b) for c, b in rows if c[var] == 0]
-        for cp, bp in pos:
-            for cn, bn in neg:
-                mult_p = -cn[var]
-                mult_n = cp[var]
-                coeffs = tuple(mult_n * x + mult_p * y for x, y in zip(cn, cp))
-                kept.append((coeffs, mult_n * bn + mult_p * bp))
-        rows = _prune_parallel(kept)
-    return all(rhs >= 0 for _, rhs in rows)
-
-
 def mark_extreme_rays(vrep: ConeVRep) -> ConeVRep:
     """Flag the columns that are extreme rays of the spanned cone.
 
-    A column is marked not extreme when it is a nonnegative combination of
-    the remaining columns.  Columns that repeat an earlier column (the same
-    ray can appear in both blocks when omega_i = 0 and gamma_{i+1} = 0) are
-    unmarked as duplicates; the first occurrence is tested against the
-    columns outside its duplicate class, so exactly one representative of a
-    needed direction stays marked.
+    `vrep` holds the u-then-g columns of spanning_rays, and the weights are
+    read back from that layout: u^i has -omega_i in row i and g^i has
+    -gamma_i in row i+1.  The weights must be pointed; degenerate ones raise
+    NotPointed, because a cone that contains a line has no extreme rays.
+    For a pointed cone the facets decide extremality by incidence: a
+    nonzero vector of the cone spans an extreme ray exactly when the facet
+    normals it zeroes have rank K-1.  A column that repeats an earlier
+    column's ray (omega_i = 0 and gamma_{i+1} = 0 make u^i and g^{i+1} both
+    e_{i+1}) stays unmarked, so each extreme ray is marked exactly once.
     """
+    k = vrep.k
     columns = vrep.columns
-    canon = [normalize_ray(col) for col in columns]
-    first_index: dict[Vec, int] = {}
-    for idx, c in enumerate(canon):
-        first_index.setdefault(c, idx)
+    weights = classify_weights(
+        k,
+        [-columns[i][i] for i in range(k - 1)],
+        [-columns[k - 1 + i][i + 1] for i in range(k - 1)],
+    )
+    normals = facet_matrix(weights).rows
+    seen: set[Vec] = set()
     mask: list[bool] = []
-    for idx, col in enumerate(columns):
-        if first_index[canon[idx]] != idx:
-            mask.append(False)
-            continue
-        others = [columns[j] for j in range(len(columns)) if canon[j] != canon[idx]]
-        mask.append(not _nonneg_combination_feasible(col, others))
+    for col in columns:
+        ray = normalize_ray(col)
+        mask.append(
+            ray not in seen
+            and rank_reaches((n for n in normals if dot(n, col) == 0), k - 1)
+        )
+        seen.add(ray)
     return replace(vrep, extreme_mask=tuple(mask))
 
 
@@ -414,7 +365,8 @@ def dual_contains(weights: Weights, nu: Sequence[Fraction | int | str]) -> bool:
     return True
 
 
-_SPECIAL_KINDS = (
+# The families special_matrix knows, in the order the CLI reports matches.
+SPECIAL_KINDS = (
     "pareto",
     "standard_ordinal",
     "gamma_zero",
@@ -466,7 +418,7 @@ def special_matrix(kind: str, weights: Weights) -> Mat:
             row.append(row[-1] * weights.omega[i - 1])
         return (tuple(row),)
     raise SpecialCaseMismatch(
-        f"unknown special case {kind!r}; expected one of {_SPECIAL_KINDS}"
+        f"unknown special case {kind!r}; expected one of {SPECIAL_KINDS}"
     )
 
 

@@ -317,8 +317,10 @@ def enumerate_simple_paths(
     """Every simple source-target path, by exhaustive depth-first search.
 
     Neighbors are explored in node-id-sorted order, so the output order is
-    deterministic.  source == target yields only the empty path.  Raises
-    PathCapExceeded when more than `cap` paths exist.
+    deterministic.  The search keeps an explicit stack of adjacency
+    iterators, one per node on the current trail, so path length is not
+    bounded by Python's recursion limit.  source == target yields only the
+    empty path.  Raises PathCapExceeded when more than `cap` paths exist.
     """
     if source not in graph.adjacency:
         raise UnknownNode(source)
@@ -327,28 +329,29 @@ def enumerate_simple_paths(
     if source == target:
         return [()]
     found: list[Path] = []
-    trail: list[int] = []
+    trail: list[int] = []  # edge indices; trail[i] leaves the node of stack[i]
     visited = {source}
-
-    def descend(node: str) -> None:
-        for edge_index in graph.adjacency[node]:
-            edge = graph.edges[edge_index]
-            if edge.dst in visited:
-                continue
+    stack = [iter(graph.adjacency[source])]
+    while stack:
+        edge_index = next(stack[-1], None)
+        if edge_index is None:
+            stack.pop()
+            if trail:
+                visited.remove(graph.edges[trail.pop()].dst)
+            continue
+        edge = graph.edges[edge_index]
+        if edge.dst in visited:
+            continue
+        if edge.dst == target:
+            found.append((*trail, edge_index))
+            if len(found) > cap:
+                raise PathCapExceeded(
+                    f"more than {cap} simple paths between {source!r} and {target!r}"
+                )
+        else:
             trail.append(edge_index)
-            if edge.dst == target:
-                found.append(tuple(trail))
-                if len(found) > cap:
-                    raise PathCapExceeded(
-                        f"more than {cap} simple paths between {source!r} and {target!r}"
-                    )
-            else:
-                visited.add(edge.dst)
-                descend(edge.dst)
-                visited.remove(edge.dst)
-            trail.pop()
-
-    descend(source)
+            visited.add(edge.dst)
+            stack.append(iter(graph.adjacency[edge.dst]))
     return found
 
 

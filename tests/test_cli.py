@@ -8,6 +8,8 @@ import pytest
 
 from instancegen import DATA_DIR
 from ordcone.cli import fmt_decimal, fmt_exact, main, parse_exact
+from ordcone.cone import classify_weights, merge_degenerate
+from ordcone.exactnum import mat_vec
 from fractions import Fraction
 
 F = Fraction
@@ -252,7 +254,7 @@ def test_route_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_route_merged_degenerate_weights(capsys):
+def test_route_merged_degenerate_weights(capsys, tmp_path):
     code, out, err = run(
         capsys,
         "--json",
@@ -277,6 +279,40 @@ def test_route_merged_degenerate_weights(capsys):
     assert path["count_vector"] == ["0", "1"]
     assert path["merged_count_vector"] == ["2"]
     assert path["transformed_cost"] == ["2"]
+
+    # K=3 with both pairs degenerate: two merge steps fold all three
+    # categories into one, and every path's vector goes through the lift
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({
+        "K": 3,
+        "nodes": [{"id": n} for n in ("s", "a", "b", "t")],
+        "edges": [
+            {"from": "s", "to": "a", "category": 1, "length": "2"},
+            {"from": "a", "to": "t", "category": 3, "length": "1"},
+            {"from": "s", "to": "b", "category": 2, "length": "1"},
+            {"from": "b", "to": "t", "category": 3, "length": "1"},
+            {"from": "s", "to": "t", "category": 2, "length": "2"},
+            {"from": "s", "to": "t", "category": 1, "length": "7"},
+        ],
+    }))
+    _, lift = merge_degenerate(classify_weights(3, [2, 1], ["0.5", 1]))
+    assert lift == ((F(1), F(2), F(2)),)
+    code, out, err = run(
+        capsys, "--json", "route", "--graph", str(three), "--source", "s",
+        "--target", "t", "--omega-vec", "2,1", "--gamma-vec", "0.5,1",
+        "--mode", "all_paths",
+    )
+    assert code == 0
+    assert "merged" in err
+    doc = json.loads(out)
+    assert doc["merged"]["k"] == 1
+    assert doc["path_count"] == 3
+    for path in doc["paths"]:
+        counts = tuple(parse_exact(v) for v in path["count_vector"])
+        assert [parse_exact(v) for v in path["merged_count_vector"]] == list(
+            mat_vec(lift, counts)
+        )
+        assert path["merged_count_vector"] == ["4"]
 
 
 def test_route_error_paths(capsys, tmp_path):
@@ -495,3 +531,16 @@ def test_export_geojson_requires_coordinates(capsys, tmp_path):
         run(capsys, "export-geojson", "--graph", LOOP, "--result", str(not_route))[0]
         == 1
     )
+
+    # malformed route documents end with one stderr line, not a traceback
+    for paths in (
+        [{"nodes": ["s", "t"], "count_vector": ["1/0", "1"]}],
+        [{"nodes": ["s", "t"], "count_vector": ["abc/3", "1"]}],
+        ["s"],
+    ):
+        not_route.write_text(json.dumps({"paths": paths}))
+        code, out, err = run(
+            capsys, "export-geojson", "--graph", LOOP, "--result", str(not_route)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -125,6 +125,9 @@ def test_mark_extreme_rays_pareto():
     w = classify_weights(2, [0], [0])
     marked = mark_extreme_rays(spanning_rays(w))
     assert marked.extreme_mask == (True, True)
+    # a degenerate pair puts a line in the cone, which has no extreme rays
+    with pytest.raises(NotPointed):
+        mark_extreme_rays(spanning_rays(classify_weights(2, [2], ["0.5"])))
 
 
 def test_facet_normal_componentwise_product():

@@ -7,8 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from instancegen import int_vector, load_fixture, pointed_weights
-from ordcone.cone import classify_weights, facet_matrix, spanning_rays
+from instancegen import int_vector, load_fixture, pointed_weights, random_graph
+from ordcone.cone import (
+    classify_weights,
+    facet_matrix,
+    mark_extreme_rays,
+    spanning_rays,
+)
 from ordcone.exactnum import normalize_ray, vec
 from ordcone.oracle import (
     MembershipCertificate,
@@ -19,7 +24,7 @@ from ordcone.oracle import (
     ray_membership,
     sampled_dual_check,
 )
-from ordcone.pathsolve import PathCapExceeded, UnknownNode
+from ordcone.pathsolve import CategoryGraph, Edge, PathCapExceeded, UnknownNode
 
 F = Fraction
 
@@ -140,6 +145,51 @@ def test_enumerate_simple_paths_fixture():
         enumerate_simple_paths(graph, "s", "t", cap=1)
     with pytest.raises(UnknownNode):
         enumerate_simple_paths(graph, "s", "nowhere")
+
+
+def test_enumerate_simple_paths_long_chain_and_order():
+    # a chain far deeper than the interpreter's recursion limit
+    names = [f"c{i:04d}" for i in range(3000)]
+    chain = CategoryGraph(
+        k=1,
+        nodes=names,
+        edges=[Edge(src=a, dst=b, category=1, length=F(1)) for a, b in zip(names, names[1:])],
+    )
+    assert enumerate_simple_paths(chain, names[0], names[-1]) == [tuple(range(2999))]
+
+    # depth-first over sorted adjacency lists: paths come out ordered by
+    # their sequence of adjacency keys
+    rng = random.Random(41)
+    for _ in range(40):
+        graph, source, target = random_graph(rng, 2, max_nodes=7, max_edges=16)
+        rank_in_list = {
+            index: position
+            for indices in graph.adjacency.values()
+            for position, index in enumerate(indices)
+        }
+        paths = enumerate_simple_paths(graph, source, target)
+        keys = [[rank_in_list[e] for e in path] for path in paths]
+        assert keys == sorted(keys)
+
+
+def test_mark_extreme_rays_agrees_with_ray_membership():
+    # each marked column lies outside the cone of the other marked columns,
+    # and each unmarked column lies inside the cone of the marked ones
+    rng = random.Random(29)
+    values = [F(0)] * 4 + [F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(5)]
+    for _ in range(160):
+        k = rng.randint(1, 6)
+        omega = [rng.choice(values) for _ in range(k - 1)]
+        gamma = [
+            ga if om * ga < 1 else F(0)
+            for om, ga in zip(omega, (rng.choice(values) for _ in range(k - 1)))
+        ]
+        marked = mark_extreme_rays(spanning_rays(classify_weights(k, omega, gamma)))
+        flags = marked.extreme_mask
+        kept = [j for j, flag in enumerate(flags) if flag]
+        for j, column in enumerate(marked.columns):
+            others = [marked.columns[i] for i in kept if i != j]
+            assert ray_membership(others, column).feasible is not flags[j]
 
 
 def test_sampled_dual_check_examples():
