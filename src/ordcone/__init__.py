@@ -10,6 +10,7 @@ rational arithmetic; see :mod:`ordcone.exactnum`.
 from ordcone.cone import (
     ConeHRep,
     ConeVRep,
+    OutcomeSpace,
     Weights,
     classify_weights,
     dual_contains,
@@ -18,6 +19,7 @@ from ordcone.cone import (
     facet_normal,
     mark_extreme_rays,
     merge_degenerate,
+    outcome_space,
     representation_matrix,
     spanning_rays,
     special_matrix,
@@ -30,12 +32,15 @@ from ordcone.dominance import (
     pareto_transform,
     weakly_dominates,
 )
-from ordcone.pathsolve import CategoryGraph, counting_vector, efficient_paths, weight_sweep
+from ordcone.pathsolve import (
+    CategoryGraph, counting_vector, efficient_paths, map_graph, weight_sweep
+)
 
 __all__ = [
     "CategoryGraph",
     "ConeHRep",
     "ConeVRep",
+    "OutcomeSpace",
     "PointSet",
     "Weights",
     "classify_weights",
@@ -47,8 +52,10 @@ __all__ = [
     "facet_matrix",
     "facet_normal",
     "filter_nondominated",
+    "map_graph",
     "mark_extreme_rays",
     "merge_degenerate",
+    "outcome_space",
     "pareto_cone",
     "pareto_transform",
     "representation_matrix",

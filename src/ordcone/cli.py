@@ -36,6 +36,7 @@ from ordcone.cone import (
     FormulaInapplicable,
     NegativeWeight,
     NotPointed,
+    OutcomeSpace,
     ProductExceedsOne,
     SpecialCaseMismatch,
     Weights,
@@ -43,7 +44,7 @@ from ordcone.cone import (
     facet_count,
     facet_matrix,
     mark_extreme_rays,
-    merge_degenerate,
+    outcome_space,
     representation_matrix,
     spanning_rays,
     special_matrix,
@@ -57,7 +58,6 @@ from ordcone.dominance import (
 )
 from ordcone.exactnum import (
     ExactnumError,
-    Mat,
     Vec,
     dot,
     mat_vec,
@@ -75,11 +75,11 @@ from ordcone.oracle import (
 from ordcone.pathsolve import (
     MODES,
     CategoryGraph,
-    Edge,
     GraphError,
     PathCapExceeded,
     counting_vector,
     efficient_paths,
+    map_graph,
     weight_sweep,
 )
 
@@ -199,60 +199,6 @@ def weights_from_options(ns: argparse.Namespace, k: int) -> Weights:
     omega = side("omega", ns.omega, ns.omega_vec)
     gamma = side("gamma", ns.gamma, ns.gamma_vec)
     return classify_weights(k, omega, gamma)
-
-
-@dataclass(frozen=True)
-class OutcomeSpace:
-    """The outcome space a command works in.
-
-    `active` is `original` with its degenerate pairs merged away and `lift`
-    the matrix carrying original outcome vectors into the merged space.
-    When the weights are pointed nothing is merged: `active` is `original`,
-    `lift` is None, and both maps return their input unchanged.
-    """
-
-    original: Weights
-    active: Weights
-    lift: Mat | None = None
-
-    @property
-    def merged(self) -> bool:
-        return self.lift is not None
-
-    def map_vector(self, y: Vec) -> Vec:
-        return y if self.lift is None else mat_vec(self.lift, y)
-
-    def map_graph(self, graph: CategoryGraph) -> CategoryGraph:
-        """Carry a graph into the merged space.
-
-        Each original category maps to the single merged category whose lift
-        row touches it, scaling the edge length by the row entry.
-        """
-        if self.lift is None:
-            return graph
-        into = {
-            original_cat: (merged_cat, factor)
-            for merged_cat, row in enumerate(self.lift, start=1)
-            for original_cat, factor in enumerate(row, start=1)
-            if factor != 0
-        }
-        edges = [
-            Edge(e.src, e.dst, into[e.category][0], e.length * into[e.category][1])
-            for e in graph.edges
-        ]
-        return CategoryGraph(self.active.k, graph.nodes, edges, graph.coords)
-
-
-def outcome_space(weights: Weights, strict: bool) -> OutcomeSpace:
-    """Merge degenerate pairs away, or reject them when `strict` is set."""
-    if weights.pointed:
-        return OutcomeSpace(weights, weights)
-    if strict:
-        raise NotPointed(
-            f"degenerate weight pairs {weights.degenerate} rejected under --strict"
-        )
-    active, lift = merge_degenerate(weights)
-    return OutcomeSpace(weights, active, lift)
 
 
 def command_space(config: RunConfig, ns: argparse.Namespace, k: int) -> OutcomeSpace:
@@ -485,7 +431,7 @@ def route_document(config: RunConfig, graph: CategoryGraph, ns: argparse.Namespa
     active = space.active
     cap = config.cap if ns.mode == "all_paths" else None
     results = efficient_paths(
-        space.map_graph(graph), ns.source, ns.target, active, mode=ns.mode, cap=cap
+        map_graph(space, graph), ns.source, ns.target, active, mode=ns.mode, cap=cap
     )
     hrep = facet_matrix(active)
     paths = []
@@ -550,31 +496,31 @@ def cmd_sweep(config: RunConfig, ns: argparse.Namespace) -> int:
     graph = load_graph(ns.graph)
     omega_cells = parse_grid(ns.omega_grid, graph.k, "--omega-grid")
     gamma_cells = parse_grid(ns.gamma_grid, graph.k, "--gamma-grid")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["omega", "gamma", "vector_count", "path_count", "runtime_ms"])
-    cap = config.cap if ns.mode == "all_paths" else None
+    # (omega text, gamma text, weights, or the message of inadmissible ones)
+    cells: list[tuple[str, str, Weights | str]] = []
     for omega in omega_cells:
         for gamma in gamma_cells:
-            omega_text = ",".join(fmt_exact(v) for v in omega)
-            gamma_text = ",".join(fmt_exact(v) for v in gamma)
             try:
-                space = outcome_space(classify_weights(graph.k, omega, gamma), config.strict)
+                weights: Weights | str = classify_weights(graph.k, omega, gamma)
             except ConeError as exc:
-                error: str | None = str(exc)
-            else:
-                row = weight_sweep(
-                    space.map_graph(graph), ns.source, ns.target, [space.active],
-                    mode=ns.mode, cap=cap,
-                )[0]
-                error = row.error
-            if error is not None:
-                print(f"sweep: omega={omega_text} gamma={gamma_text}: {error}", file=sys.stderr)
-                writer.writerow([omega_text, gamma_text, "", "", ""])
-                continue
-            runtime = "" if ns.no_timings else f"{row.runtime_ms:.3f}"
-            writer.writerow(
-                [omega_text, gamma_text, row.vector_count, row.path_count, runtime]
+                weights = str(exc)
+            cells.append(
+                (",".join(map(fmt_exact, omega)), ",".join(map(fmt_exact, gamma)), weights)
             )
+    grid = [weights for _, _, weights in cells if isinstance(weights, Weights)]
+    cap = config.cap if ns.mode == "all_paths" else None
+    solved = iter(weight_sweep(graph, ns.source, ns.target, grid, ns.mode, cap, config.strict))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["omega", "gamma", "vector_count", "path_count", "runtime_ms"])
+    for omega_text, gamma_text, weights in cells:
+        row = next(solved) if isinstance(weights, Weights) else None
+        error = weights if row is None else row.error
+        if error is not None:
+            print(f"sweep: omega={omega_text} gamma={gamma_text}: {error}", file=sys.stderr)
+            writer.writerow([omega_text, gamma_text, "", "", ""])
+            continue
+        runtime = "" if ns.no_timings else f"{row.runtime_ms:.3f}"
+        writer.writerow([omega_text, gamma_text, row.vector_count, row.path_count, runtime])
     return 0
 
 
@@ -669,7 +615,7 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
     )
 
     if graph is not None:
-        work_graph = space.map_graph(graph)
+        work_graph = map_graph(space, graph)
         try:
             all_paths = enumerate_simple_paths(work_graph, ns.source, ns.target, cap=config.cap)
         except PathCapExceeded:

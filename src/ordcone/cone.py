@@ -22,7 +22,12 @@ consists of the consistent per-category disutility vectors nu
 A product omega_i * gamma_i = 1 pins nu_{i+1} to omega_i * nu_i, which is
 the same as merging categories i and i+1 after rescaling.  merge_degenerate
 performs that reduction and returns the linear map that carries outcome
-vectors into the merged space.
+vectors into the merged space.  outcome_space is the one place that decides
+what degenerate weights become: an OutcomeSpace with merged weights and that
+lift, or, under `strict`, a NotPointed error.
+
+K = 1 has no pairs: the cone is the half-line of nonnegative outcomes,
+spanned by the single ray e1 = (1), which is also its single facet normal.
 
 Everything here is exact rational arithmetic; see :mod:`ordcone.exactnum`.
 """
@@ -40,6 +45,7 @@ from ordcone.exactnum import (
     identity,
     is_zero,
     mat_mul,
+    mat_vec,
     normalize_ray,
     rank,
     rank_reaches,
@@ -145,9 +151,10 @@ def classify_weights(
 class ConeVRep:
     """Spanning rays of a dominance cone, in fixed column order.
 
-    Columns are u^1..u^{K-1} followed by g^1..g^{K-1}.  `extreme_mask` is
-    None until mark_extreme_rays has run; afterwards it flags the columns
-    that are extreme rays of the spanned cone.
+    Columns are u^1..u^{K-1} followed by g^1..g^{K-1}; at K = 1 the only
+    column is e1 = (1).  `extreme_mask` is None until mark_extreme_rays has
+    run; afterwards it flags the columns that are extreme rays of the
+    spanned cone.
     """
 
     k: int
@@ -185,8 +192,13 @@ class ConeHRep:
 
 
 def spanning_rays(weights: Weights) -> ConeVRep:
-    """The 2(K-1) spanning rays of the dominance cone, u block then g block."""
+    """The 2(K-1) spanning rays of the dominance cone, u block then g block.
+
+    K = 1 has no pairs, so the cone is spanned by the single ray e1 = (1).
+    """
     k = weights.k
+    if k == 1:
+        return ConeVRep(k=1, columns=((Fraction(1),),), labels=("e1",))
     columns: list[Vec] = []
     labels: list[str] = []
     for i in range(1, k):
@@ -365,87 +377,46 @@ def dual_contains(weights: Weights, nu: Sequence[Fraction | int | str]) -> bool:
     return True
 
 
-# The families special_matrix knows, in the order the CLI reports matches.
-SPECIAL_KINDS = (
-    "pareto",
-    "standard_ordinal",
-    "gamma_zero",
-    "omega_zero",
-    "k2",
-    "weighted_sum",
-)
+# The families special_matrix knows, in the order the CLI reports matches:
+# each family's defining condition and the message when it fails.
+_SPECIAL_CONDITIONS = {
+    "pareto": (lambda w: not any(w.omega + w.gamma), "pareto case needs omega = gamma = 0"),
+    "standard_ordinal": (
+        lambda w: all(v == 1 for v in w.omega) and not any(w.gamma),
+        "standard ordinal case needs omega = 1, gamma = 0",
+    ),
+    "gamma_zero": (lambda w: not any(w.gamma), "gamma-zero case needs gamma = 0"),
+    "omega_zero": (lambda w: not any(w.omega), "omega-zero case needs omega = 0"),
+    "k2": (lambda w: w.k == 2, "k2 case needs exactly two categories"),
+    "weighted_sum": (
+        lambda w: all(o * g == 1 for o, g in zip(w.omega, w.gamma)),
+        "weighted-sum case needs omega_i * gamma_i = 1 for every pair",
+    ),
+}
+SPECIAL_KINDS = tuple(_SPECIAL_CONDITIONS)
 
 
 def special_matrix(kind: str, weights: Weights) -> Mat:
     """Closed-form dominance matrix for a named special weight family.
 
-    Raises SpecialCaseMismatch when the weights do not satisfy the family's
-    defining conditions.
+    Once a family's condition holds, its matrix is representation_matrix:
+    the identity for pareto, cumulative omega products on and above the
+    diagonal for standard_ordinal and gamma_zero, cumulative gamma products
+    on and below it for omega_zero, and ((1, omega), (gamma, 1)) for k2.
+    The weighted-sum family keeps only the first row, the cumulative omega
+    products, because omega_i * gamma_i = 1 makes every other row a multiple
+    of it.  Raises SpecialCaseMismatch when the weights do not satisfy the
+    family's defining conditions.
     """
-    k = weights.k
-    if kind == "pareto":
-        if any(v != 0 for v in weights.omega) or any(v != 0 for v in weights.gamma):
-            raise SpecialCaseMismatch("pareto case needs omega = gamma = 0")
-        return identity(k)
-    if kind == "standard_ordinal":
-        if any(v != 1 for v in weights.omega) or any(v != 0 for v in weights.gamma):
-            raise SpecialCaseMismatch("standard ordinal case needs omega = 1, gamma = 0")
-        return _upper_cumulative(weights)
-    if kind == "gamma_zero":
-        if any(v != 0 for v in weights.gamma):
-            raise SpecialCaseMismatch("gamma-zero case needs gamma = 0")
-        return _upper_cumulative(weights)
-    if kind == "omega_zero":
-        if any(v != 0 for v in weights.omega):
-            raise SpecialCaseMismatch("omega-zero case needs omega = 0")
-        return _lower_cumulative(weights)
-    if kind == "k2":
-        if k != 2:
-            raise SpecialCaseMismatch("k2 case needs exactly two categories")
-        return (
-            (Fraction(1), weights.omega[0]),
-            (weights.gamma[0], Fraction(1)),
+    if kind not in _SPECIAL_CONDITIONS:
+        raise SpecialCaseMismatch(
+            f"unknown special case {kind!r}; expected one of {SPECIAL_KINDS}"
         )
-    if kind == "weighted_sum":
-        if any(
-            weights.omega[i] * weights.gamma[i] != 1 for i in range(k - 1)
-        ):
-            raise SpecialCaseMismatch(
-                "weighted-sum case needs omega_i * gamma_i = 1 for every pair"
-            )
-        row: list[Fraction] = [Fraction(1)]
-        for i in range(1, k):
-            row.append(row[-1] * weights.omega[i - 1])
-        return (tuple(row),)
-    raise SpecialCaseMismatch(
-        f"unknown special case {kind!r}; expected one of {SPECIAL_KINDS}"
-    )
-
-
-def _upper_cumulative(weights: Weights) -> Mat:
-    """Upper-triangular matrix with cumulative omega products above the diagonal."""
-    k = weights.k
-    rows: list[Vec] = []
-    for i in range(1, k + 1):
-        row = [Fraction(0)] * k
-        row[i - 1] = Fraction(1)
-        for j in range(i + 1, k + 1):
-            row[j - 1] = row[j - 2] * weights.omega[j - 2]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _lower_cumulative(weights: Weights) -> Mat:
-    """Lower-triangular matrix with cumulative gamma products below the diagonal."""
-    k = weights.k
-    rows: list[Vec] = []
-    for i in range(1, k + 1):
-        row = [Fraction(0)] * k
-        row[i - 1] = Fraction(1)
-        for j in range(i - 1, 0, -1):
-            row[j - 1] = row[j] * weights.gamma[j - 1]
-        rows.append(tuple(row))
-    return tuple(rows)
+    holds, requirement = _SPECIAL_CONDITIONS[kind]
+    if not holds(weights):
+        raise SpecialCaseMismatch(requirement)
+    matrix = representation_matrix(weights)
+    return matrix[:1] if kind == "weighted_sum" else matrix
 
 
 def merge_degenerate(weights: Weights) -> tuple[Weights, Mat]:
@@ -492,3 +463,39 @@ def merge_degenerate(weights: Weights) -> tuple[Weights, Mat]:
         current = classify_weights(k - 1, new_omega, new_gamma)
         lift = mat_mul(tuple(step_rows), lift)
     return current, lift
+
+
+@dataclass(frozen=True)
+class OutcomeSpace:
+    """The outcome space that results under some weights live in.
+
+    `active` is `original` with its degenerate pairs merged away and `lift`
+    the matrix carrying original outcome vectors into the merged space.
+    When the weights are pointed nothing is merged: `active` is `original`,
+    `lift` is None, and map_vector returns its input unchanged.  Graphs are
+    carried over by pathsolve.map_graph.
+    """
+
+    original: Weights
+    active: Weights
+    lift: Mat | None = None
+
+    @property
+    def merged(self) -> bool:
+        return self.lift is not None
+
+    def map_vector(self, y: Vec) -> Vec:
+        return y if self.lift is None else mat_vec(self.lift, y)
+
+
+def outcome_space(weights: Weights, strict: bool) -> OutcomeSpace:
+    """Merge degenerate pairs away, or raise NotPointed when `strict` is set."""
+    if weights.pointed:
+        return OutcomeSpace(weights, weights)
+    if strict:
+        raise NotPointed(
+            f"degenerate weight pairs {weights.degenerate} rejected under strict: "
+            "the cone is not pointed"
+        )
+    active, lift = merge_degenerate(weights)
+    return OutcomeSpace(weights, active, lift)

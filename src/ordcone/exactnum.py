@@ -42,10 +42,6 @@ class ZeroVector(ExactnumError):
     """The zero vector cannot represent a ray."""
 
 
-class SingularMatrix(ExactnumError):
-    """Matrix inversion was attempted on a singular matrix."""
-
-
 def parse_decimal(text: str) -> Fraction:
     """Parse a decimal literal such as "0.4" or "-1.25" into an exact fraction.
 
@@ -250,14 +246,3 @@ def solve(m: Mat, b: Vec) -> Vec | None:
         x[c] = reduced[r][n]
     return tuple(x)
 
-
-def invert(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; raises SingularMatrix otherwise."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("inverse requires a square matrix")
-    rows = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    reduced, pivots = _eliminate(rows, n)
-    if len(pivots) != n:
-        raise SingularMatrix("matrix is singular")
-    return tuple(tuple(reduced[i][n:]) for i in range(n))

@@ -34,7 +34,7 @@ from math import isfinite, lcm
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from ordcone.cone import NotPointed, Weights, facet_matrix
+from ordcone.cone import NotPointed, OutcomeSpace, Weights, facet_matrix, outcome_space
 from ordcone.exactnum import Vec, rational, transpose, vec_add, zeros
 
 Path = tuple[int, ...]
@@ -213,6 +213,33 @@ def counting_vector(graph: CategoryGraph, path: Path) -> Vec:
     return tuple(totals)
 
 
+def map_graph(space: OutcomeSpace, graph: CategoryGraph) -> CategoryGraph:
+    """Carry a graph into an outcome space's merged categories.
+
+    Each original category maps to the single merged category whose lift
+    row touches it, scaling the edge length by the row entry, so every path's
+    counting vector becomes space.map_vector of its original one.  Without a
+    merge the graph is returned unchanged.
+    """
+    if space.lift is None:
+        return graph
+    if graph.k != space.original.k:
+        raise GraphError(
+            f"weights are for {space.original.k} categories, graph has {graph.k}"
+        )
+    into = {
+        original_cat: (merged_cat, factor)
+        for merged_cat, row in enumerate(space.lift, start=1)
+        for original_cat, factor in enumerate(row, start=1)
+        if factor != 0
+    }
+    edges = [
+        Edge(e.src, e.dst, into[e.category][0], e.length * into[e.category][1])
+        for e in graph.edges
+    ]
+    return CategoryGraph(space.active.k, graph.nodes, edges, graph.coords)
+
+
 class _Label:
     __slots__ = ("node", "tcost", "visited", "pred", "edge")
 
@@ -265,8 +292,9 @@ def efficient_paths(
     order; each returned counting vector is rebuilt once from its path.  An
     unreachable target yields an empty list; source == target yields the
     empty path.  The weights must be pointed; degenerate weights have no
-    strict dominance to prune with (merge them first, see
-    cone.merge_degenerate).
+    strict dominance to prune with (resolve them first with
+    cone.outcome_space and route in map_graph(space, graph) under
+    space.active).
     """
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -372,38 +400,30 @@ def weight_sweep(
     grid: Iterable[Weights],
     mode: str = "one_per_vector",
     cap: int | None = None,
+    strict: bool = True,
 ) -> list[SweepRow]:
     """Run efficient_paths for every weight set in the grid.
 
-    Failures (degenerate weights, cap overflow) are recorded per row so one
-    bad cell never aborts the sweep.
+    Each cell is resolved by cone.outcome_space: under `strict` (the
+    default) degenerate weights give an error row, otherwise they are merged
+    and the cell is routed in map_graph(space, graph), so its counts are of
+    merged vectors.  Failures (degenerate weights under `strict`, cap
+    overflow, graph errors) are recorded per row so one bad cell never
+    aborts the sweep.  runtime_ms covers the merge and the solve.
     """
     rows: list[SweepRow] = []
     for weights in grid:
         started = time.perf_counter()
         try:
-            results = efficient_paths(graph, source, target, weights, mode, cap)
+            space = outcome_space(weights, strict)
+            results = efficient_paths(
+                map_graph(space, graph), source, target, space.active, mode, cap
+            )
         except (NotPointed, PathCapExceeded, GraphError) as exc:
             elapsed = (time.perf_counter() - started) * 1000.0
-            rows.append(
-                SweepRow(
-                    weights=weights,
-                    vector_count=None,
-                    path_count=None,
-                    error=str(exc),
-                    runtime_ms=elapsed,
-                )
-            )
+            rows.append(SweepRow(weights, None, None, str(exc), elapsed))
             continue
         elapsed = (time.perf_counter() - started) * 1000.0
         distinct = len({counts for _, counts in results})
-        rows.append(
-            SweepRow(
-                weights=weights,
-                vector_count=distinct,
-                path_count=len(results),
-                error=None,
-                runtime_ms=elapsed,
-            )
-        )
+        rows.append(SweepRow(weights, distinct, len(results), None, elapsed))
     return rows

@@ -417,6 +417,18 @@ def test_verify_clean_run(capsys):
     assert "check facets-vs-double-description: ok" in out
     assert "check extreme-rays-vs-membership: ok" in out
     assert "check dominance-vs-ray-membership: ok" in out
+    # K = 1, and weights that merge to K = 1, verify the single ray e1
+    for args in (
+        ("--k", "2", "--omega", "2", "--gamma", "0.5"),
+        ("--k", "1"),
+        ("--k", "3", "--omega", "2", "--gamma", "0.5"),
+        ("--graph", LOOP, "--source", "s", "--target", "t", "--omega", "2", "--gamma", "0.5"),
+    ):
+        code, out, _ = run(capsys, "verify", "--samples", "8", *args)
+        assert code == 0, args
+        checks = [line for line in out.splitlines() if line.startswith("check ")]
+        assert len(checks) == (4 if "--graph" in args else 3)
+        assert all(": ok (" in line for line in checks), out
 
 
 def test_verify_with_graph_and_seed(capsys):

@@ -23,6 +23,7 @@ from ordcone.cone import (
     facet_normal,
     mark_extreme_rays,
     merge_degenerate,
+    outcome_space,
     representation_matrix,
     spanning_rays,
     special_matrix,
@@ -94,6 +95,11 @@ def test_spanning_rays_layout():
         (F(1), F(-1, 2), F(-1, 4), F(1)),
         (F(0), F(1), F(0), F(0)),
     )
+    # K = 1 has no pairs; its cone is the half-line spanned by e1 = (1)
+    single = spanning_rays(classify_weights(1, [], []))
+    assert single.labels == ("e1",)
+    assert single.columns == ((F(1),),)
+    assert mark_extreme_rays(single).extreme_mask == (True,)
 
 
 def test_mark_extreme_rays_all_positive_weights():
@@ -354,6 +360,22 @@ def test_merge_degenerate_cascade_to_single_category():
 def test_merge_degenerate_requires_degenerate_pair():
     with pytest.raises(NothingToMerge):
         merge_degenerate(classify_weights(2, [2], ["0.25"]))
+
+
+def test_outcome_space_merges_or_rejects():
+    pointed = classify_weights(2, [2], ["0.25"])
+    space = outcome_space(pointed, strict=True)
+    assert space.active is pointed and not space.merged
+    assert space.map_vector((F(1), F(3))) == (F(1), F(3))
+
+    degenerate = classify_weights(3, [2, 3], ["0.5", 0])
+    space = outcome_space(degenerate, strict=False)
+    assert space.merged and space.original is degenerate
+    assert (space.active, space.lift) == merge_degenerate(degenerate)
+    assert space.map_vector((F(1), F(1), F(2))) == (F(3), F(2))
+    with pytest.raises(NotPointed) as err:
+        outcome_space(degenerate, strict=True)
+    assert "pointed" in str(err.value) and "strict" in str(err.value)
 
 
 def test_merge_preserves_dominance_exactly():

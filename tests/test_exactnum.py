@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from ordcone.exactnum import (
     DimensionMismatch,
     ParseError,
-    SingularMatrix,
     ZeroVector,
     dot,
     identity,
-    invert,
     is_zero,
     mat,
     mat_mul,
@@ -154,15 +152,6 @@ def test_rank_nullspace_solve_small_cases():
     assert not rank_reaches(m, 3)
     assert nullspace(()) == ()
     assert solve((), ()) == ()
-
-
-def test_invert_round_trip_and_singular():
-    m = mat([[2, 1], [1, 1]])
-    assert mat_mul(invert(m), m) == identity(2)
-    with pytest.raises(SingularMatrix):
-        invert(mat([[1, 2], [2, 4]]))
-    with pytest.raises(DimensionMismatch):
-        invert(mat([[1, 2]]))
 
 
 def test_linear_algebra_random_consistency():

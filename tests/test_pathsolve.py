@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from instancegen import load_fixture, pointed_weights, random_graph
-from ordcone.cone import NotPointed, classify_weights, facet_matrix
+from instancegen import degenerate_weights, load_fixture, pointed_weights, random_graph
+from ordcone.cone import NotPointed, classify_weights, facet_matrix, merge_degenerate
 from ordcone.dominance import PointSet, filter_nondominated
 from ordcone.exactnum import mat_vec
 from ordcone.oracle import enumerate_simple_paths
@@ -270,3 +270,41 @@ def test_weight_sweep_records_cap_overflow():
     rows = weight_sweep(graph, "s", "t", [ORDINAL2], mode="all_paths", cap=1)
     assert rows[0].error is not None
     assert "cap" in rows[0].error
+
+
+def test_merged_weight_sweep_matches_lifted_enumeration():
+    # With strict=False degenerate cells are merged and routed in the merged
+    # space.  The oracle enumerates every simple path, lifts its counting
+    # vector with merge_degenerate's map and filters under the merged cone.
+    rng = random.Random(41)
+    checked = 0
+    nonempty = 0
+    while checked < 120:
+        k = rng.randint(2, 4)
+        graph, source, target = random_graph(
+            rng, k, max_nodes=8, max_edges=16, fractional=True
+        )
+        w = degenerate_weights(rng, k)
+        try:
+            paths = enumerate_simple_paths(graph, source, target, cap=3000)
+        except PathCapExceeded:
+            continue
+        active, lift = merge_degenerate(w)
+        lifted = [mat_vec(lift, counting_vector(graph, p)) for p in paths]
+        kept = (
+            set(filter_nondominated(facet_matrix(active), PointSet.from_vectors(lifted)).points)
+            if paths
+            else set()
+        )
+        kept_paths = sum(v in kept for v in lifted)
+        for mode, path_count in (("all_paths", kept_paths), ("one_per_vector", len(kept))):
+            [row] = weight_sweep(graph, source, target, [w], mode=mode, strict=False)
+            assert row.error is None
+            assert row.vector_count == len(kept)
+            assert row.path_count == path_count
+        nonempty += bool(kept)
+        checked += 1
+    assert nonempty > 0
+    # the merge needs weights for the graph's own category count
+    [row] = weight_sweep(_tie_graph(), "s", "t", [degenerate_weights(rng, 3)], strict=False)
+    assert "categories" in row.error
