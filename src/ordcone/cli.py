@@ -77,6 +77,7 @@ from ordcone.pathsolve import (
     CategoryGraph,
     GraphError,
     PathCapExceeded,
+    UnknownNode,
     counting_vector,
     efficient_paths,
     map_graph,
@@ -494,6 +495,9 @@ def parse_grid(text: str, k: int, what: str) -> list[Vec]:
 
 def cmd_sweep(config: RunConfig, ns: argparse.Namespace) -> int:
     graph = load_graph(ns.graph)
+    for node in (ns.source, ns.target):
+        if node not in graph.adjacency:
+            raise UnknownNode(node)
     omega_cells = parse_grid(ns.omega_grid, graph.k, "--omega-grid")
     gamma_cells = parse_grid(ns.gamma_grid, graph.k, "--gamma-grid")
     # (omega text, gamma text, weights, or the message of inadmissible ones)

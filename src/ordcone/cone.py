@@ -41,14 +41,11 @@ from typing import Sequence
 from ordcone.exactnum import (
     Mat,
     Vec,
-    dot,
     identity,
     is_zero,
     mat_mul,
     mat_vec,
     normalize_ray,
-    rank,
-    rank_reaches,
     vec,
 )
 
@@ -177,8 +174,8 @@ class ConeHRep:
     Row j is an inward facet normal; `selections` records, per row, the
     u/g choice per adjacent pair that produced it (None for cones built
     directly from a matrix, such as the Pareto cone).  `matrix_rank` is the
-    exact rank of the row matrix; the represented cone is pointed exactly
-    when it equals k.
+    rank of the row matrix as its builder states it (facet_matrix: k, see
+    there); the represented cone is pointed exactly when it equals k.
     """
 
     k: int
@@ -223,11 +220,20 @@ def mark_extreme_rays(vrep: ConeVRep) -> ConeVRep:
     read back from that layout: u^i has -omega_i in row i and g^i has
     -gamma_i in row i+1.  The weights must be pointed; degenerate ones raise
     NotPointed, because a cone that contains a line has no extreme rays.
-    For a pointed cone the facets decide extremality by incidence: a
-    nonzero vector of the cone spans an extreme ray exactly when the facet
-    normals it zeroes have rank K-1.  A column that repeats an earlier
-    column's ray (omega_i = 0 and gamma_{i+1} = 0 make u^i and g^{i+1} both
-    e_{i+1}) stays unmarked, so each extreme ray is marked exactly once.
+
+    The weights alone decide extremality.  A column with a negative entry
+    (u^i with omega_i > 0, g^i with gamma_i > 0) is always extreme.  Every
+    other column is a unit vector e_j, and another column generates it when
+    omega_{j-1} > 0 or gamma_j > 0:
+        (1 - omega_{j-1} gamma_{j-1}) e_j = u^{j-1} + omega_{j-1} g^{j-1},
+        (1 - omega_j gamma_j) e_j = g^j + gamma_j u^j.
+    Each remaining column is exposed by a dual vector nu that is zero on it
+    alone: the ratios nu_{i+1} / nu_i lie strictly inside [omega_i,
+    1 / gamma_i] except at the column's own pair (omega_i for u^i,
+    1 / gamma_i for g^i); for e_j take nu_j = 0 and every other nu_i > 0.
+    A column that repeats an earlier one (omega_i = 0 and gamma_{i+1} = 0
+    make u^i and g^{i+1} both e_{i+1}) stays unmarked, so each extreme ray
+    is marked exactly once.
     """
     k = vrep.k
     columns = vrep.columns
@@ -236,16 +242,23 @@ def mark_extreme_rays(vrep: ConeVRep) -> ConeVRep:
         [-columns[i][i] for i in range(k - 1)],
         [-columns[k - 1 + i][i + 1] for i in range(k - 1)],
     )
-    normals = facet_matrix(weights).rows
-    seen: set[Vec] = set()
+    if not weights.pointed:
+        raise NotPointed(
+            f"extreme rays require a pointed cone; degenerate pairs {weights.degenerate}"
+        )
+    seen: set[int] = set()
     mask: list[bool] = []
     for col in columns:
-        ray = normalize_ray(col)
+        if min(col) < 0:
+            mask.append(True)
+            continue
+        j = col.index(1)  # 0-based: the column is e_{j+1}
         mask.append(
-            ray not in seen
-            and rank_reaches((n for n in normals if dot(n, col) == 0), k - 1)
+            j not in seen
+            and (j == 0 or weights.omega[j - 1] == 0)
+            and (j == k - 1 or weights.gamma[j] == 0)
         )
-        seen.add(ray)
+        seen.add(j)
     return replace(vrep, extreme_mask=tuple(mask))
 
 
@@ -281,6 +294,9 @@ def facet_matrix(weights: Weights) -> ConeHRep:
     Selections are enumerated in binary order (u = 0, g = 1, pair index 1
     least significant).  Rows that are identically zero are dropped; rows
     proportional to an earlier row keep only the first occurrence.
+    `matrix_rank` is K without an elimination: the cone contains the
+    nonnegative orthant and, for pointed weights, no line, so its facet
+    normals span R^K.
     """
     if not weights.pointed:
         raise NotPointed(
@@ -303,10 +319,7 @@ def facet_matrix(weights: Weights) -> ConeHRep:
         seen.add(canonical)
         rows.append(normal)
         selections.append(selection)
-    matrix = tuple(rows)
-    return ConeHRep(
-        k=k, rows=matrix, selections=tuple(selections), matrix_rank=rank(matrix)
-    )
+    return ConeHRep(k=k, rows=tuple(rows), selections=tuple(selections), matrix_rank=k)
 
 
 def facet_count(weights: Weights) -> int:

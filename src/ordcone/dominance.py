@@ -113,9 +113,8 @@ def pareto_transform(matrix: Mat, points: PointSet) -> PointSet:
     if not points.points:
         raise EmptyPointSet("cannot transform an empty point set")
     width = len(points.points[0])
-    if rank(matrix) != width:
-        raise RankDeficient(
-            f"transform needs rank {width}, got {rank(matrix)}"
-        )
+    found = rank(matrix)
+    if found != width:
+        raise RankDeficient(f"transform needs rank {width}, got {found}")
     images = tuple(mat_vec(matrix, p) for p in points.points)
     return PointSet(points=images, ids=points.ids)

@@ -188,29 +188,6 @@ def rank(m: Mat) -> int:
     return len(pivots)
 
 
-def rank_reaches(rows: Iterable[Vec], r: int) -> bool:
-    """Whether the rows have rank at least r.
-
-    Rows are reduced one at a time against the independent ones kept so far;
-    the scan stops at the r-th independent row, so a lazy iterable is never
-    read further than needed.
-    """
-    if r <= 0:
-        return True
-    basis: list[tuple[int, Vec]] = []  # pivot column, row scaled to 1 there
-    for row in rows:
-        for pivot, kept in basis:
-            factor = row[pivot]
-            if factor != 0:
-                row = tuple(x - factor * y for x, y in zip(row, kept))
-        pivot = next((c for c, x in enumerate(row) if x != 0), None)
-        if pivot is not None:
-            basis.append((pivot, tuple(x / row[pivot] for x in row)))
-            if len(basis) == r:
-                return True
-    return False
-
-
 def nullspace(m: Mat) -> tuple[Vec, ...]:
     """Basis of the right nullspace of m, () when m has full column rank."""
     if not m:

@@ -294,7 +294,11 @@ def efficient_paths(
     empty path.  The weights must be pointed; degenerate weights have no
     strict dominance to prune with (resolve them first with
     cone.outcome_space and route in map_graph(space, graph) under
-    space.active).
+    space.active).  The per-label `visited` sets are redundant: lengths are
+    positive and the facet matrix has full column rank, so a walk that
+    re-enters a node is strictly dominated by its own permanent ancestor
+    label there and is pruned at push.  They stay because the set test is
+    cheaper than the dominance scan it skips; route-grid ran slower without.
     """
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -332,6 +332,11 @@ def test_route_error_paths(capsys, tmp_path):
             "--target", "t")[0]
         == 1
     )
+    # sweep checks both endpoints once: one error line, no CSV
+    assert run(
+        capsys, "sweep", "--graph", LOOP, "--source", "s", "--target", "nope",
+        "--omega-grid", "1;2", "--gamma-grid", "0",
+    ) == (1, "", "error: unknown node id: 'nope'\n")
 
 
 def test_route_cap_exit_code(capsys):

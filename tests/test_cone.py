@@ -117,6 +117,10 @@ def test_mark_extreme_rays_redundant_g_ray():
     assert cert.feasible
     assert cert.coefficients == (F(5, 2), F(3))
     assert cert.verify([marked.columns[0], marked.columns[2]], marked.columns[3])
+    # with omega_1 = 0 the first u ray is e_2, and gamma_2 > 0 makes it
+    # redundant: e_2 = g^2 + 0.5 u^2
+    w = classify_weights(3, [0, 0], [0, "0.5"])
+    assert mark_extreme_rays(spanning_rays(w)).extreme_mask == (False, True, True, True)
 
 
 def test_mark_extreme_rays_duplicate_columns():
@@ -222,6 +226,19 @@ def test_facet_count_matches_enumeration():
                     gamma[i] = F(0)
             w = classify_weights(k, w.omega, gamma)
         assert facet_count(w) == len(facet_matrix(w).rows)
+    # the facet normals of a pointed cone span R^K, which is why facet_matrix
+    # sets matrix_rank to K without an elimination
+    rng = random.Random(8)
+    for _ in range(60):
+        k = rng.randint(1, 8)
+        w = pointed_weights(rng, k)
+        w = classify_weights(
+            k,
+            [F(0) if rng.random() < 0.4 else om for om in w.omega],
+            [F(0) if rng.random() < 0.4 else ga for ga in w.gamma],
+        )
+        h = facet_matrix(w)
+        assert h.matrix_rank == rank(h.rows) == k
 
 
 def test_facet_normals_orthogonal_to_selected_rays():

@@ -23,7 +23,6 @@ from ordcone.exactnum import (
     nullspace,
     parse_decimal,
     rank,
-    rank_reaches,
     rational,
     scale,
     solve,
@@ -146,10 +145,6 @@ def test_rank_nullspace_solve_small_cases():
     assert solve(m, vec([6, 12, 2])) is not None
     assert solve(mat([[1, 1], [1, 1]]), vec([0, 1])) is None
     assert rank(()) == 0
-    assert rank_reaches((), 0) and not rank_reaches((), 1)
-    # stops at the second independent row; the None after it is never read
-    assert rank_reaches(iter([m[0], m[1], m[2], None]), 2)
-    assert not rank_reaches(m, 3)
     assert nullspace(()) == ()
     assert solve((), ()) == ()
 
@@ -166,7 +161,6 @@ def test_linear_algebra_random_consistency():
         for direction in basis:
             assert mat_vec(m, direction) == zeros(n_rows)
         assert rank(m) + len(basis) == n_cols
-        assert rank_reaches(m, rank(m)) and not rank_reaches(m, rank(m) + 1)
         x = vec([rng.randint(-3, 3) for _ in range(n_cols)])
         b = mat_vec(m, x)
         found = solve(m, b)
