@@ -397,14 +397,14 @@ def cmd_filter(config: RunConfig, ns: argparse.Namespace) -> int:
         raise CLIError("--k is required for the filter command")
     space = command_space(config, ns, ns.k)
     points = load_points(ns, ns.k)
+    # The library sees positional ids, so repeated or colliding input ids
+    # cannot make a dominated point look kept.
     work = PointSet(
-        points=tuple(space.map_vector(p) for p in points.points), ids=points.ids
+        points=tuple(space.map_vector(p) for p in points.points),
+        ids=tuple(str(i) for i in range(len(points.points))),
     )
     kept = filter_nondominated(facet_matrix(space.active), work)
-    kept_ids = set(kept.ids)
-    survivors = [
-        (pid, point) for pid, point in zip(points.ids, points.points) if pid in kept_ids
-    ]
+    survivors = [(points.ids[int(i)], points.points[int(i)]) for i in kept.ids]
     if config.json_out:
         emit_json(
             {
@@ -641,8 +641,8 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
                     hrep,
                     PointSet.from_vectors(outcomes, ids=[str(i) for i in range(len(outcomes))]),
                 )
-                expected = {tuple(p) for p, v in zip(all_paths, outcomes) if v in set(kept.points)}
                 reference_vectors = set(kept.points)
+                expected = {tuple(p) for p, v in zip(all_paths, outcomes) if v in reference_vectors}
             else:
                 expected = set()
                 reference_vectors = set()

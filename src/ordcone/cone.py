@@ -21,10 +21,15 @@ consists of the consistent per-category disutility vectors nu
 
 A product omega_i * gamma_i = 1 pins nu_{i+1} to omega_i * nu_i, which is
 the same as merging categories i and i+1 after rescaling.  merge_degenerate
-performs that reduction and returns the linear map that carries outcome
-vectors into the merged space.  outcome_space is the one place that decides
-what degenerate weights become: an OutcomeSpace with merged weights and that
+performs that reduction in one pass, one merged category per run of
+degenerate pairs, and returns the linear map that carries outcome vectors
+into the merged space.  outcome_space is the one place that decides what
+degenerate weights become: an OutcomeSpace with merged weights and that
 lift, or, under `strict`, a NotPointed error.
+
+Facet normals, the representation matrix and the merge are all products of
+adjacent weights, so each is built from running products rather than
+re-multiplied entry by entry.
 
 K = 1 has no pairs: the cone is the half-line of nonnegative outcomes,
 spanned by the single ray e1 = (1), which is also its single facet normal.
@@ -38,16 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from ordcone.exactnum import (
-    Mat,
-    Vec,
-    identity,
-    is_zero,
-    mat_mul,
-    mat_vec,
-    normalize_ray,
-    vec,
-)
+from ordcone.exactnum import Mat, Vec, is_zero, mat_vec, normalize_ray, vec
 
 
 class ConeError(ValueError):
@@ -266,25 +262,26 @@ def facet_normal(selection: Sequence[str], weights: Weights) -> Vec:
     """Inward facet normal for one u/g selection, as a componentwise product.
 
     For pair i the factor on component c is omega_i when `u` is selected and
-    c > i, gamma_i when `g` is selected and c <= i, and 1 otherwise.
+    c > i, gamma_i when `g` is selected and c <= i, and 1 otherwise.  So
+    component c is the product of omega_i over u-pairs i < c times the
+    product of gamma_i over g-pairs i >= c: one forward and one backward
+    running product.
     """
     k = weights.k
     if len(selection) != k - 1:
         raise ConeError(f"selection needs {k - 1} entries, got {len(selection)}")
+    for choice in selection:
+        if choice not in ("u", "g"):
+            raise ConeError(f"selection entries must be 'u' or 'g', got {choice!r}")
+    backward = [Fraction(1)] * k
+    for i in range(k - 2, -1, -1):
+        backward[i] = backward[i + 1] * (weights.gamma[i] if selection[i] == "g" else 1)
     entries: list[Fraction] = []
-    for c in range(1, k + 1):
-        product = Fraction(1)
-        for i in range(1, k):
-            choice = selection[i - 1]
-            if choice == "u":
-                if c > i:
-                    product *= weights.omega[i - 1]
-            elif choice == "g":
-                if c <= i:
-                    product *= weights.gamma[i - 1]
-            else:
-                raise ConeError(f"selection entries must be 'u' or 'g', got {choice!r}")
-        entries.append(product)
+    forward = Fraction(1)
+    for c in range(k):
+        entries.append(forward * backward[c])
+        if c < k - 1 and selection[c] == "u":
+            forward *= weights.omega[c]
     return tuple(entries)
 
 
@@ -349,24 +346,17 @@ def representation_matrix(weights: Weights) -> Mat:
     Entry (i, j) is the product omega_i * ... * omega_{j-1} above the
     diagonal, 1 on it, and gamma_j * ... * gamma_{i-1} below.  The matrix
     has full rank exactly when the weights are pointed, and its rows evaluate
-    outcome vectors under K canonical consistent disutility profiles.
+    outcome vectors under K canonical consistent disutility profiles.  Each
+    row is built outward from its diagonal as running products.
     """
     k = weights.k
     rows: list[Vec] = []
-    for i in range(1, k + 1):
-        row: list[Fraction] = []
-        for j in range(1, k + 1):
-            if i < j:
-                product = Fraction(1)
-                for ell in range(i, j):
-                    product *= weights.omega[ell - 1]
-            elif i == j:
-                product = Fraction(1)
-            else:
-                product = Fraction(1)
-                for ell in range(j, i):
-                    product *= weights.gamma[ell - 1]
-            row.append(product)
+    for i in range(k):
+        row = [Fraction(1)] * k
+        for j in range(i + 1, k):
+            row[j] = row[j - 1] * weights.omega[j - 1]
+        for j in range(i - 1, -1, -1):
+            row[j] = row[j + 1] * weights.gamma[j]
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -435,47 +425,39 @@ def special_matrix(kind: str, weights: Weights) -> Mat:
 def merge_degenerate(weights: Weights) -> tuple[Weights, Mat]:
     """Merge away degenerate pairs; return the reduced weights and the lift map.
 
-    A degenerate pair d (omega_d * gamma_d = 1) forces every consistent
-    disutility vector to satisfy nu_{d+1} = omega_d * nu_d, so categories d
-    and d+1 carry a single degree of freedom.  The merge folds category d+1
-    into d with conversion factor omega_d; the returned lift is the K' x K
-    matrix carrying original outcome vectors into the merged space
-    (c'_d = c_d + omega_d * c_{d+1}, other components pass through).  Merges
-    repeat until no degenerate pair remains, so the result is always pointed.
+    A degenerate pair i (omega_i * gamma_i = 1) forces every consistent
+    disutility vector to satisfy nu_{i+1} = omega_i * nu_i, so categories i
+    and i+1 carry a single degree of freedom.  Each maximal run of categories
+    a..b joined by degenerate pairs therefore becomes one merged category,
+    with nu_c = p_c * nu_a on the run, where p_c = omega_a * ... * omega_{c-1}
+    (p_a = 1).  The returned lift is the K' x K matrix carrying original
+    outcome vectors into the merged space: the run's row holds p_c on its
+    categories and 0 elsewhere.  The pair b that leaves the run now links
+    nu_a to nu_{b+1}, so it becomes (omega_b * p_b, gamma_b / p_b); the pair
+    before the run is unchanged.  Both keep their product omega_i * gamma_i,
+    so no merge creates a degenerate pair and the result is always pointed.
     """
     if weights.pointed:
         raise NothingToMerge("no degenerate pair to merge")
-    current = weights
-    lift = identity(weights.k)
-    while current.degenerate:
-        d = current.degenerate[0]
-        k = current.k
-        step_rows: list[Vec] = []
-        for j in range(1, k):
-            row = [Fraction(0)] * k
-            if j < d:
-                row[j - 1] = Fraction(1)
-            elif j == d:
-                row[d - 1] = Fraction(1)
-                row[d] = current.omega[d - 1]
-            else:
-                row[j] = Fraction(1)
-            step_rows.append(tuple(row))
-        new_omega: list[Fraction] = []
-        new_gamma: list[Fraction] = []
-        for i in range(1, k - 1):
-            if i < d:
-                new_omega.append(current.omega[i - 1])
-                new_gamma.append(current.gamma[i - 1])
-            elif i == d:
-                new_omega.append(current.omega[d - 1] * current.omega[d])
-                new_gamma.append(current.gamma[d] / current.omega[d - 1])
-            else:
-                new_omega.append(current.omega[i])
-                new_gamma.append(current.gamma[i])
-        current = classify_weights(k - 1, new_omega, new_gamma)
-        lift = mat_mul(tuple(step_rows), lift)
-    return current, lift
+    k = weights.k
+    degenerate = set(weights.degenerate)
+    lift: list[Vec] = []
+    omega: list[Fraction] = []
+    gamma: list[Fraction] = []
+    row = [Fraction(0)] * k
+    p = Fraction(1)
+    for c in range(k):
+        row[c] = p
+        if c + 1 in degenerate:
+            p *= weights.omega[c]
+            continue
+        lift.append(tuple(row))
+        if c < k - 1:
+            omega.append(weights.omega[c] * p)
+            gamma.append(weights.gamma[c] / p)
+        row = [Fraction(0)] * k
+        p = Fraction(1)
+    return classify_weights(len(lift), omega, gamma), tuple(lift)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
-
-RationalLike = "Fraction | int | str"
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
@@ -120,15 +117,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     if m and len(m[0]) != len(v):
         raise DimensionMismatch(f"matrix is {len(m)}x{len(m[0])}, vector has {len(v)}")
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if not a or not b:
-        return ()
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    cols = transpose(b)
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def transpose(m: Mat) -> Mat:

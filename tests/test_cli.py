@@ -201,6 +201,15 @@ def test_filter_points_file(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["kept"] == [{"id": "x", "vector": ["1", "1"]}]
 
+    # an explicit id equal to another entry's position must not keep the
+    # dominated point (2, 2)
+    points.write_text(json.dumps([{"id": "1", "vector": ["2", "2"]}, ["1", "1"]]))
+    code, out, _ = run(capsys, "--json", "filter", "--k", "2", "--points-file", str(points))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kept"] == [{"id": "1", "vector": ["1", "1"]}]
+    assert doc["kept_count"] == 1
+
     assert run(capsys, "filter", "--k", "2", "--omega", "1")[0] == 1
     assert (
         run(capsys, "filter", "--k", "2", "--points", "1,1",

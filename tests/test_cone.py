@@ -152,6 +152,23 @@ def test_facet_normal_componentwise_product():
     with pytest.raises(ConeError):
         facet_normal(("g", "x", "g", "u"), w)
 
+    # the definitional nested product, on seeded weights with zeros
+    rng = random.Random(17)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        w = pointed_weights(rng, k)
+        selection = tuple(rng.choice("ug") for _ in range(k - 1))
+        expected = []
+        for c in range(1, k + 1):
+            product = F(1)
+            for i in range(1, k):
+                if selection[i - 1] == "u" and c > i:
+                    product *= w.omega[i - 1]
+                elif selection[i - 1] == "g" and c <= i:
+                    product *= w.gamma[i - 1]
+            expected.append(product)
+        assert facet_normal(selection, w) == tuple(expected)
+
 
 def test_facet_matrix_standard_ordinal():
     w = classify_weights(3, [1, 1], [0, 0])
@@ -270,6 +287,24 @@ def test_representation_matrix_values():
         (F(1, 10), F(1, 5), 1),
     )
 
+    # the definitional nested products, on seeded weights with zeros
+    rng = random.Random(19)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        w = pointed_weights(rng, k) if k == 1 or rng.random() < 0.7 else degenerate_weights(rng, k)
+        expected = []
+        for i in range(1, k + 1):
+            row = []
+            for j in range(1, k + 1):
+                product = F(1)
+                for ell in range(i, j):
+                    product *= w.omega[ell - 1]
+                for ell in range(j, i):
+                    product *= w.gamma[ell - 1]
+                row.append(product)
+            expected.append(tuple(row))
+        assert representation_matrix(w) == tuple(expected)
+
 
 def test_representation_matrix_rank_and_dual_membership():
     rng = random.Random(11)
@@ -366,6 +401,21 @@ def test_merge_degenerate_three_categories():
     assert merged.gamma == (0,)
     assert lift == ((1, 2, 0), (0, 0, 1))
 
+    merged, lift = merge_degenerate(classify_weights(3, [2, 3], ["0.5", "0.25"]))
+    assert merged.k == 2
+    assert merged.omega == (6,)
+    assert merged.gamma == (F(1, 8),)
+    assert lift == ((1, 2, 0), (0, 0, 1))
+
+    # two separate runs: categories 1-2 and 3-5
+    merged, lift = merge_degenerate(
+        classify_weights(5, [2, 1, 1, 4], ["0.5", "0.5", 1, "0.25"])
+    )
+    assert merged.k == 2
+    assert merged.omega == (2,)
+    assert merged.gamma == (F(1, 4),)
+    assert lift == ((1, 2, 0, 0, 0), (0, 0, 1, 1, 4))
+
 
 def test_merge_degenerate_cascade_to_single_category():
     w = classify_weights(3, [2, 2], ["0.5", "0.5"])
@@ -398,7 +448,7 @@ def test_outcome_space_merges_or_rejects():
 def test_merge_preserves_dominance_exactly():
     rng = random.Random(5)
     for _ in range(30):
-        k = rng.randint(2, 5)
+        k = rng.randint(2, 8)
         w = degenerate_weights(rng, k)
         merged, lift = merge_degenerate(w)
         assert merged.pointed

@@ -14,10 +14,8 @@ from ordcone.exactnum import (
     ParseError,
     ZeroVector,
     dot,
-    identity,
     is_zero,
     mat,
-    mat_mul,
     mat_vec,
     normalize_ray,
     nullspace,
@@ -89,15 +87,10 @@ def test_elementwise_ops_and_dimension_checks():
             op(u, vec([1, 2]))
     with pytest.raises(DimensionMismatch):
         mat_vec(mat([[1, 2]]), vec([1, 2, 3]))
-    with pytest.raises(DimensionMismatch):
-        mat_mul(mat([[1, 2]]), mat([[1, 2]]))
 
 
 def test_matrix_products_and_transpose():
     a = mat([[1, 2], [3, 4]])
-    b = mat([[0, 1], [1, 0]])
-    assert mat_mul(a, b) == ((2, 1), (4, 3))
-    assert mat_mul(a, identity(2)) == a
     assert transpose(a) == ((1, 3), (2, 4))
     assert transpose(()) == ()
     assert mat_vec(a, vec([1, 1])) == (3, 7)
