@@ -27,6 +27,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path as FilePath
 from typing import Sequence
 
@@ -59,7 +60,7 @@ from ordcone.dominance import (
 from ordcone.exactnum import (
     ExactnumError,
     Vec,
-    dot,
+    int_row,
     mat_vec,
     normalize_ray,
     parse_decimal,
@@ -593,13 +594,15 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
         )
     )
 
+    scaled_rows = [int_row(row) for row in rows]
     rng = random.Random(config.seed)
     mismatches = 0
     for _ in range(ns.samples):
         y1 = tuple(Fraction(rng.randint(0, 6)) for _ in range(k))
         y2 = tuple(Fraction(rng.randint(0, 6)) for _ in range(k))
         difference = vec_sub(space.map_vector(y2), space.map_vector(y1))
-        primary = all(dot(row, difference) >= 0 for row in rows)
+        scaled_difference = int_row(difference)
+        primary = all(sum(map(mul, row, scaled_difference)) >= 0 for row in scaled_rows)
         cert = ray_membership(vrep, difference)
         if primary != cert.feasible or not cert.verify(vrep.columns, difference):
             mismatches += 1

@@ -3,8 +3,18 @@
 Every geometric decision in this package is tie-sensitive: facet identity,
 extremality of a ray, and dominance between outcome vectors all hinge on
 inner products that must be exactly zero, not merely small.  Floating point
-would silently merge or split faces, so all quantities are
-``fractions.Fraction`` values and every routine below is exact.
+would silently merge or split faces, so every routine below is exact, and
+every value a public routine takes or returns is a ``fractions.Fraction``
+(except ``int_row``, which hands out the scaled ints).
+
+Inside the elimination kernels the values are Python ``int``s instead:
+``int_row`` multiplies a row by the LCM of its denominators, and the
+Gauss-Jordan pass keeps each row divided by the gcd of its entries, so a
+multiply-add is one int operation rather than a gcd and a new Fraction, and
+entries stay small.  Scaling a row, a ray or an inequality by a positive
+number keeps the sign of every entry and every inner product, every ratio
+between entries, the ray it names and the sense of the inequality, so the
+integer kernels decide exactly what the Fraction ones would.
 
 Vectors are plain tuples of fractions; matrices are tuples of row vectors.
 Tuples keep the values hashable, which the cone code relies on for
@@ -15,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -138,12 +149,30 @@ def normalize_ray(v: Vec) -> Vec:
     raise ZeroVector("zero vector has no ray representative")
 
 
-def _eliminate(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduce rows in place over the first `cols` columns; return (rows, pivot cols).
+def int_row(values: Iterable[Fraction | int]) -> tuple[int, ...]:
+    """The values times the LCM of their denominators, as ints.
 
-    Produces reduced row echelon form over the leading `cols` columns.  Any
-    trailing columns ride along, which is how augmented systems are solved.
+    The scale is positive, so signs, ratios, the ray a vector names and the
+    sense of an inequality row are all unchanged.
     """
+    values = tuple(values)
+    common = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (common // x.denominator) for x in values)
+
+
+def _echelon(rows: list[list[int]], cols: int) -> list[int]:
+    """Integer Gauss-Jordan over the first `cols` columns, in place; return pivot cols.
+
+    Pivots are chosen as in the textbook Fraction elimination, but a row is
+    cleared by cross-multiplying with the pivot row instead of dividing, and
+    every updated row is divided by the gcd of its entries.  Each row stays
+    a nonzero multiple of its Fraction counterpart, so pivot row r divided
+    by its pivot entry is row r of the reduced row echelon form, which is
+    unique.  Any trailing columns ride along, which is how augmented systems
+    are solved.  Raises DimensionMismatch for ragged rows.
+    """
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatch("matrix rows have unequal lengths")
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -155,59 +184,64 @@ def _eliminate(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fractio
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        pivot = rows[r]
+        p = pivot[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            a = rows[i][c]
+            if i != r and a != 0:
+                row = [p * x - a * y for x, y in zip(rows[i], pivot)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return pivots
 
 
 def rank(m: Mat) -> int:
     if not m:
         return 0
-    rows = [list(row) for row in m]
-    _, pivots = _eliminate(rows, len(m[0]))
-    return len(pivots)
+    rows = [list(int_row(row)) for row in m]
+    return len(_echelon(rows, len(m[0])))
+
+
+def solve_affine(m: Mat, b: Vec) -> tuple[Vec | None, tuple[Vec, ...]]:
+    """All solutions of m @ x = b from one elimination of [m | b].
+
+    Returns one exact solution (None when the system is inconsistent) and a
+    basis of the right nullspace of m (() when m has full column rank).
+    """
+    if len(m) != len(b):
+        raise DimensionMismatch("right-hand side does not match row count")
+    if not m:
+        return (), ()
+    n = len(m[0])
+    rows = [list(int_row((*row, rhs))) for row, rhs in zip(m, b)]
+    pivots = _echelon(rows, n)
+    particular = None
+    if all(rows[r][n] == 0 for r in range(len(pivots), len(rows))):
+        x = [Fraction(0)] * n
+        for r, c in enumerate(pivots):
+            x[c] = Fraction(rows[r][n], rows[r][c])
+        particular = tuple(x)
+    basis: list[Vec] = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = Fraction(-rows[r][f], rows[r][c])
+        basis.append(tuple(v))
+    return particular, tuple(basis)
 
 
 def nullspace(m: Mat) -> tuple[Vec, ...]:
     """Basis of the right nullspace of m, () when m has full column rank."""
-    if not m:
-        return ()
-    n = len(m[0])
-    rows = [list(row) for row in m]
-    reduced, pivots = _eliminate(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis: list[Vec] = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    return solve_affine(m, zeros(len(m)))[1]
 
 
 def solve(m: Mat, b: Vec) -> Vec | None:
     """One exact solution of m @ x = b, or None when the system is inconsistent."""
-    if len(m) != len(b):
-        raise DimensionMismatch("right-hand side does not match row count")
-    if not m:
-        return ()
-    n = len(m[0])
-    rows = [list(row) + [rhs] for row, rhs in zip(m, b)]
-    reduced, pivots = _eliminate(rows, n)
-    for r in range(len(pivots), len(reduced)):
-        if reduced[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][n]
-    return tuple(x)
-
+    return solve_affine(m, b)[0]

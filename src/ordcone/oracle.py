@@ -15,8 +15,13 @@ implementation it guards:
   disutility vectors; a False refutes dominance outright, a True is only
   supporting evidence.
 
-Certificates are verified by substitution, so a bug in the elimination
-itself cannot silently report the wrong answer.
+The public functions take and return Fraction vectors.  Inside, the
+elimination works on Python ints: Fourier-Motzkin rows, double-description constraints
+and generators, and the dual-check probes are scaled by positive integers
+(see exactnum.int_row), which keeps every sign and every ray, so the
+answers are those of the same algorithms run on Fractions.  Certificates are
+verified by Fraction substitution, so a bug in the elimination itself cannot
+silently report the wrong answer.
 """
 
 from __future__ import annotations
@@ -24,19 +29,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from ordcone.cone import ConeVRep, Weights, representation_matrix
 from ordcone.exactnum import (
+    DimensionMismatch,
     Mat,
     Vec,
     dot,
+    int_row,
     is_zero,
     normalize_ray,
     nullspace,
     rank,
     scale,
     solve,
+    solve_affine,
     transpose,
     vec,
     vec_sub,
@@ -66,7 +76,12 @@ class MembershipCertificate:
     witness: Vec | None
 
     def verify(self, columns: Sequence[Vec], target: Vec) -> bool:
-        """Re-check the certificate against the original data."""
+        """Re-check the certificate against the original data.
+
+        A column whose length differs from the target's fails the check.
+        """
+        if any(len(col) != len(target) for col in columns):
+            return False
         if self.feasible:
             if self.coefficients is None or len(self.coefficients) != len(columns):
                 return False
@@ -84,45 +99,57 @@ class MembershipCertificate:
         return dot(self.witness, target) < 0
 
 
-_Row = tuple[Vec, Fraction, Vec]  # coefficients over free vars, rhs, provenance
+_IntVec = tuple[int, ...]  # a row or ray scaled to ints by a positive factor
 
 
-def _prune_rows(rows: list[_Row]) -> list[_Row]:
-    """Drop inequality rows whose coefficients repeat an earlier row's direction."""
-    best: dict[Vec, tuple[Fraction, Vec]] = {}
-    order: list[Vec] = []
-    for coeffs, rhs, provenance in rows:
-        factor = None
-        for c in coeffs:
-            if c != 0:
-                factor = abs(c)
-                break
-        if factor is None:
-            key = coeffs
-        else:
-            key = tuple(c / factor for c in coeffs)
-            rhs = rhs / factor
-            provenance = tuple(p / factor for p in provenance)
-        if key not in best:
-            best[key] = (rhs, provenance)
-            order.append(key)
-        elif rhs < best[key][0]:
-            best[key] = (rhs, provenance)
-    return [(key, best[key][0], best[key][1]) for key in order]
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _primitive(values: Sequence[int]) -> _IntVec:
+    """The int vector divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*values)
+    return tuple(x // g for x in values) if g > 1 else tuple(values)
+
+
+def _prune_rows(rows: list[_IntVec], free: int) -> list[_IntVec]:
+    """Drop inequality rows whose coefficients repeat an earlier row's direction.
+
+    A row is (coefficients over the `free` variables, rhs, provenance).  Of
+    the rows sharing a primitive coefficient direction d, with coefficients
+    s * d, the one with the smallest bound rhs / s is kept, compared by
+    cross-multiplying; an all-zero direction compares its raw rhs.
+    """
+    best: dict[_IntVec, tuple[_IntVec, int]] = {}
+    for row in rows:
+        coeffs = row[:free]
+        size = gcd(*coeffs) or 1
+        key = tuple(c // size for c in coeffs)
+        kept = best.get(key)
+        if kept is None or row[free] * kept[1] < kept[0][free] * size:
+            best[key] = (row, size)
+    return [row for row, _ in best.values()]
 
 
 def ray_membership(rays: ConeVRep | Sequence[Vec], target: Sequence) -> MembershipCertificate:
     """Decide whether target lies in the cone spanned by the given rays.
 
-    The linear part of the system is removed first by exact elimination;
-    Fourier-Motzkin then runs on the nonnegativity constraints over the
-    remaining free parameters, carrying multipliers so an infeasible run
+    The linear part of the system is removed first by one exact elimination
+    of [rays | target], which gives both a particular solution and the
+    kernel; Fourier-Motzkin then runs on the nonnegativity constraints over
+    the remaining free parameters, carrying multipliers so an infeasible run
     yields a separating witness (the multipliers combine the constraints
     into an inequality no nonnegative lambda can satisfy, and solving back
-    through the equalities turns them into the witness vector).
+    through the equalities turns them into the witness vector).  The
+    Fourier-Motzkin rows are int tuples, each divided by the gcd of its
+    entries; back-substitution divides by the coefficients in Fractions, so
+    every bound is independent of the row scale.  Raises DimensionMismatch
+    when a ray's length differs from the target's.
     """
     columns = tuple(rays.columns) if isinstance(rays, ConeVRep) else tuple(vec(c) for c in rays)
     goal = vec(target)
+    if any(len(col) != len(goal) for col in columns):
+        raise DimensionMismatch(f"every ray must have the target's length {len(goal)}")
     m = len(columns)
     if m == 0:
         if is_zero(goal):
@@ -131,7 +158,7 @@ def ray_membership(rays: ConeVRep | Sequence[Vec], target: Sequence) -> Membersh
             feasible=False, coefficients=None, witness=scale(Fraction(-1), goal)
         )
     matrix: Mat = tuple(tuple(col[i] for col in columns) for i in range(len(goal)))
-    particular = solve(matrix, goal)
+    particular, kernel = solve_affine(matrix, goal)
     if particular is None:
         # target is not even in the linear span: any left-null direction that
         # scores the target separates it (it scores every ray exactly zero).
@@ -141,43 +168,31 @@ def ray_membership(rays: ConeVRep | Sequence[Vec], target: Sequence) -> Membersh
                 witness = candidate if value < 0 else scale(Fraction(-1), candidate)
                 return MembershipCertificate(feasible=False, coefficients=None, witness=witness)
         raise OracleError("inconsistent system produced no separating direction")
-    kernel = nullspace(matrix)
     free = len(kernel)
-    rows: list[_Row] = []
+    rows: list[_IntVec] = []
     for j in range(m):
-        coeffs = tuple(-basis[j] for basis in kernel)
-        provenance = tuple(
-            Fraction(1) if jj == j else Fraction(0) for jj in range(m)
-        )
-        rows.append((coeffs, particular[j], provenance))
-    stages: list[list[_Row]] = []
+        provenance = (int(jj == j) for jj in range(m))
+        rows.append(int_row((*(-basis[j] for basis in kernel), particular[j], *provenance)))
+    stages: list[list[_IntVec]] = []
     for var in range(free):
         stages.append(rows)
-        merged: list[_Row] = [row for row in rows if row[0][var] == 0]
-        positive = [row for row in rows if row[0][var] > 0]
-        negative = [row for row in rows if row[0][var] < 0]
-        for cp, bp, mp in positive:
-            for cn, bn, mn in negative:
-                wp = -cn[var]
-                wn = cp[var]
-                coeffs = tuple(wn * x + wp * y for x, y in zip(cn, cp))
-                rhs = wn * bn + wp * bp
-                provenance = tuple(wn * x + wp * y for x, y in zip(mn, mp))
-                merged.append((coeffs, rhs, provenance))
-        rows = _prune_rows(merged)
-    infeasible = None
-    for coeffs, rhs, provenance in rows:
-        if rhs < 0:
-            infeasible = provenance
-            break
+        merged = [row for row in rows if row[var] == 0]
+        positive = [row for row in rows if row[var] > 0]
+        negative = [row for row in rows if row[var] < 0]
+        for p in positive:
+            wp = p[var]
+            for n in negative:
+                wn = -n[var]
+                merged.append(_primitive([wp * x + wn * y for x, y in zip(n, p)]))
+        rows = _prune_rows(merged, free)
+    infeasible = next((row[free + 1 :] for row in rows if row[free] < 0), None)
     if infeasible is not None:
         # provenance s >= 0 satisfies: s . lambda is the constant rhs < 0 on
         # the solution space of the equalities, hence s lies in the row space
         # of the ray matrix and pulls back to the separating witness.
-        witness = solve(tuple(zip(*matrix)), infeasible)
+        witness = solve(columns, vec(infeasible))
         if witness is None:
             raise OracleError("witness recovery failed; multipliers left the row space")
-        witness = tuple(witness)
         if dot(witness, goal) >= 0 or any(dot(witness, col) < 0 for col in columns):
             raise OracleError("recovered witness failed substitution")
         return MembershipCertificate(feasible=False, coefficients=None, witness=witness)
@@ -185,12 +200,12 @@ def ray_membership(rays: ConeVRep | Sequence[Vec], target: Sequence) -> Membersh
     for var in range(free - 1, -1, -1):
         lower = None
         upper = None
-        for coeffs, rhs, _ in stages[var]:
-            c = coeffs[var]
+        for row in stages[var]:
+            c = row[var]
             if c == 0:
                 continue
-            rest = rhs - sum(
-                (coeffs[j] * assignment[j] for j in range(var + 1, free)), Fraction(0)
+            rest = row[free] - sum(
+                (row[j] * assignment[j] for j in range(var + 1, free)), Fraction(0)
             )
             bound = rest / c
             if c > 0:
@@ -222,87 +237,93 @@ def double_description(rays: ConeVRep | Sequence[Vec]) -> frozenset[Vec]:
     order, shrinking an explicit lineality basis until the dual is pointed;
     its extreme rays (recognized by the rank of their active constraint
     sets) are exactly the facet normals, returned in canonical ray form.
-    Inputs containing an opposite ray pair span a line and are rejected, as
-    are inputs that do not span the full space (their facet normals would
-    not be unique).
+    Constraints, lineality vectors and generators are primitive int tuples:
+    every update is a positive integer combination, so no ray or sign
+    changes.  Inputs containing an opposite ray pair span a line and are
+    rejected, as are inputs that do not span the full space (their facet
+    normals would not be unique).
     """
     columns = tuple(rays.columns) if isinstance(rays, ConeVRep) else tuple(vec(c) for c in rays)
     if not columns:
         raise OracleError("no rays given")
     dim = len(columns[0])
-    canonical = [normalize_ray(col) for col in columns]
+    # normalize_ray rejects a zero column
+    constraints = [_primitive(int_row(normalize_ray(col))) for col in columns]
     for i in range(len(columns)):
         for j in range(i + 1, len(columns)):
-            if canonical[i] == tuple(-x for x in canonical[j]):
+            if constraints[i] == tuple(-x for x in constraints[j]):
                 raise NonPointedInput(
                     f"columns {i} and {j} are opposite rays; the cone contains a line"
                 )
     if rank(columns) < dim:
         raise OracleError("rays do not span the space; facet normals are not unique")
 
-    lineality: list[Vec] = [
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
+    lineality: list[_IntVec] = [
+        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
     ]
-    generators: list[Vec] = []
-    processed: list[Vec] = []
+    generators: list[_IntVec] = []
+    processed: list[_IntVec] = []
 
-    for constraint in columns:
-        off_line = [w for w in lineality if dot(constraint, w) != 0]
+    for constraint in constraints:
+        off_line = [w for w in lineality if _idot(constraint, w) != 0]
         if off_line:
             pivot = off_line[0]
-            value = dot(constraint, pivot)
+            value = _idot(constraint, pivot)
             if value < 0:
-                pivot = scale(Fraction(-1), pivot)
+                pivot = tuple(-x for x in pivot)
                 value = -value
-            new_lineality: list[Vec] = []
+            new_lineality: list[_IntVec] = []
             for w in lineality:
                 if w is off_line[0]:
                     continue
-                coeff = dot(constraint, w) / value
-                adjusted = vec_sub(w, scale(coeff, pivot))
-                if not is_zero(adjusted):
+                adjusted = _shift(w, pivot, _idot(constraint, w), value)
+                if any(adjusted):
                     new_lineality.append(adjusted)
             adjusted_generators = [pivot]
             for g in generators:
-                coeff = dot(constraint, g) / value
-                adjusted_generators.append(vec_sub(g, scale(coeff, pivot)))
+                adjusted_generators.append(_shift(g, pivot, _idot(constraint, g), value))
             lineality = new_lineality
             generators = adjusted_generators
         else:
-            kept = [g for g in generators if dot(constraint, g) >= 0]
-            positive = [g for g in generators if dot(constraint, g) > 0]
-            negative = [g for g in generators if dot(constraint, g) < 0]
-            for p in positive:
-                for n in negative:
-                    combo = vec_sub(scale(dot(constraint, p), n), scale(dot(constraint, n), p))
-                    kept.append(combo)
+            scores = [_idot(constraint, g) for g in generators]
+            kept = [g for g, s in zip(generators, scores) if s >= 0]
+            positive = [(g, s) for g, s in zip(generators, scores) if s > 0]
+            negative = [(g, s) for g, s in zip(generators, scores) if s < 0]
+            for p, sp in positive:
+                for n, sn in negative:
+                    kept.append(_primitive([sp * x - sn * y for x, y in zip(n, p)]))
             generators = kept
         processed.append(constraint)
         generators = _extreme_only(generators, processed, dim, len(lineality))
 
     if lineality:
         raise OracleError("constraints left a lineality space; cone was not full-dimensional")
-    return frozenset(normalize_ray(g) for g in generators)
+    return frozenset(normalize_ray(vec(g)) for g in generators)
+
+
+def _shift(w: _IntVec, pivot: _IntVec, score: int, value: int) -> _IntVec:
+    """Move w along the pivot onto the constraint's hyperplane, as a primitive vector.
+
+    `score` and `value` are the constraint's products with w and the pivot,
+    value > 0, so value * w - score * pivot is a positive multiple of the
+    Fraction update w - (score / value) * pivot.
+    """
+    return _primitive([value * x - score * y for x, y in zip(w, pivot)])
 
 
 def _extreme_only(
-    generators: list[Vec], processed: list[Vec], dim: int, lineality_dim: int
-) -> list[Vec]:
-    """Keep one representative per extreme ray of the current dual cone."""
-    seen: set[Vec] = set()
-    survivors: list[Vec] = []
-    for g in generators:
-        if is_zero(g):
-            continue
-        key = normalize_ray(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        survivors.append(g)
+    generators: list[_IntVec], processed: list[_IntVec], dim: int, lineality_dim: int
+) -> list[_IntVec]:
+    """Keep one representative per extreme ray of the current dual cone.
+
+    Generators are primitive, so two name the same ray exactly when they
+    are equal.
+    """
+    survivors = [g for g in dict.fromkeys(generators) if any(g)]
     needed = dim - 1 - lineality_dim
-    kept: list[Vec] = []
+    kept: list[_IntVec] = []
     for g in survivors:
-        active = tuple(a for a in processed if dot(a, g) == 0)
+        active = tuple(a for a in processed if _idot(a, g) == 0)
         if len(active) == len(processed):
             # orthogonal to every constraint so far: absorbed by lineality
             continue
@@ -369,16 +390,20 @@ def sampled_dual_check(
     which are consistent disutility vectors).  A False return refutes weak
     dominance; a True return is evidence, not proof.
     """
+    k = weights.k
     a = vec(y1)
     b = vec(y2)
+    if len(a) != k or len(b) != k:
+        raise DimensionMismatch(f"expected {k} components, got {len(a)} and {len(b)}")
+    difference = int_row(vec_sub(b, a))
     rows = representation_matrix(weights)
+    # one scale for the whole matrix, so a mix of scaled rows is a positive
+    # multiple of the same mix of the rows themselves
+    flat = int_row(x for row in rows for x in row)
+    scaled = [flat[i : i + k] for i in range(0, len(flat), k)]
     rng = random.Random(seed)
-    probes: list[Vec] = list(rows)
+    probes = list(scaled)
     for _ in range(samples):
-        mix = [Fraction(rng.randint(0, 8), rng.randint(1, 8)) for _ in rows]
-        probe = tuple(
-            sum((c * row[i] for c, row in zip(mix, rows)), Fraction(0))
-            for i in range(weights.k)
-        )
-        probes.append(probe)
-    return all(dot(nu, a) <= dot(nu, b) for nu in probes)
+        mix = int_row([Fraction(rng.randint(0, 8), rng.randint(1, 8)) for _ in rows])
+        probes.append(tuple(sum(map(mul, mix, column)) for column in zip(*scaled)))
+    return all(_idot(nu, difference) >= 0 for nu in probes)

@@ -87,6 +87,14 @@ def test_elementwise_ops_and_dimension_checks():
             op(u, vec([1, 2]))
     with pytest.raises(DimensionMismatch):
         mat_vec(mat([[1, 2]]), vec([1, 2, 3]))
+    # ragged matrices, with the short row last or first
+    for ragged in (((1, 2), (1,)), ((1,), (1, 2))):
+        with pytest.raises(DimensionMismatch):
+            rank(ragged)
+        with pytest.raises(DimensionMismatch):
+            nullspace(ragged)
+        with pytest.raises(DimensionMismatch):
+            solve(ragged, vec([1, 1]))
 
 
 def test_matrix_products_and_transpose():
@@ -159,3 +167,74 @@ def test_linear_algebra_random_consistency():
         found = solve(m, b)
         assert found is not None
         assert mat_vec(m, found) == b
+
+
+def _reference_solutions(m, b):
+    """Rank, nullspace basis and one solution (or None) of m @ x = b.
+
+    A textbook Fraction Gauss-Jordan elimination of [m | b]: each pivot row
+    is divided by its pivot, and the pivot column is cleared in every other
+    row.  It is the reference for the integer kernel behind rank, nullspace
+    and solve.
+    """
+    n = len(m[0])
+    rows = [[*row, rhs] for row, rhs in zip(m, b)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -rows[r][f]
+            basis.append(tuple(v))
+    solution = None
+    if all(rows[r][n] == 0 for r in range(len(pivots), len(rows))):
+        x = [Fraction(0)] * n
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][n]
+        solution = tuple(x)
+    return len(pivots), tuple(basis), solution
+
+
+def test_linear_algebra_matches_fraction_reference():
+    rng = random.Random(18)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 5, 6, 7]))
+
+    inconsistent = rank_deficient = 0
+    for _ in range(1200):
+        n_rows = rng.randint(1, 6)
+        n_cols = rng.randint(1, 6)
+        rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n_rows)] = [Fraction(0)] * n_cols
+        if n_rows > 1 and rng.random() < 0.3:
+            factor = rng.choice([Fraction(1), Fraction(-2), Fraction(1, 3)])
+            rows[rng.randrange(1, n_rows)] = [factor * x for x in rows[0]]
+        m = mat(rows)
+        b = vec([entry() for _ in range(n_rows)])
+        expected_rank, expected_basis, expected_solution = _reference_solutions(m, b)
+        assert rank(m) == expected_rank
+        assert nullspace(m) == expected_basis
+        assert solve(m, b) == expected_solution
+        inconsistent += expected_solution is None
+        rank_deficient += expected_rank < min(n_rows, n_cols)
+    assert inconsistent > 100 and rank_deficient > 100

@@ -14,7 +14,7 @@ from ordcone.cone import (
     mark_extreme_rays,
     spanning_rays,
 )
-from ordcone.exactnum import normalize_ray, vec
+from ordcone.exactnum import DimensionMismatch, dot, normalize_ray, vec
 from ordcone.oracle import (
     MembershipCertificate,
     NonPointedInput,
@@ -57,6 +57,14 @@ def test_ray_membership_edge_cases():
     zero = ray_membership([vec([1, 2])], vec([0, 0]))
     assert zero.feasible
     assert zero.verify([vec([1, 2])], vec([0, 0]))
+    # every ray must have the target's length: longer, shorter and ragged
+    for rays in ([vec([1, 0, 0])], [vec([1])], [vec([1, 0]), vec([1])]):
+        with pytest.raises(DimensionMismatch):
+            ray_membership(rays, vec([1, 0]))
+        assert not MembershipCertificate(True, (F(1),) * len(rays), None).verify(
+            rays, vec([1, 0])
+        )
+        assert not MembershipCertificate(False, None, vec([-1, 0])).verify(rays, vec([1, 0]))
 
 
 def test_ray_membership_target_outside_span():
@@ -104,6 +112,28 @@ def test_ray_membership_random_certificates_always_verify():
         else:
             infeasible_seen += 1
     assert feasible_seen and infeasible_seen
+
+    # pointed cones with zero weights, K 1-7: the flag is the facet test
+    values = [F(0)] * 4 + [F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(5)]
+    feasible_seen = infeasible_seen = 0
+    for _ in range(150):
+        k = rng.randint(1, 7)
+        omega = [rng.choice(values) for _ in range(k - 1)]
+        gamma = [
+            ga if om * ga < 1 else F(0)
+            for om, ga in zip(omega, (rng.choice(values) for _ in range(k - 1)))
+        ]
+        w = classify_weights(k, omega, gamma)
+        rays = spanning_rays(w)
+        target = tuple(F(rng.randint(-4, 4)) for _ in range(k))
+        cert = ray_membership(rays, target)
+        assert cert.feasible == all(dot(row, target) >= 0 for row in facet_matrix(w).rows)
+        assert cert.verify(rays.columns, target)
+        if cert.feasible:
+            feasible_seen += 1
+        else:
+            infeasible_seen += 1
+    assert feasible_seen > 10 and infeasible_seen > 10
 
 
 def test_double_description_known_cones():
