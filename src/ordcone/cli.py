@@ -607,9 +607,7 @@ def cmd_verify(config: RunConfig, ns: argparse.Namespace) -> int:
         if primary != cert.feasible or not cert.verify(vrep.columns, difference):
             mismatches += 1
             continue
-        if primary and not sampled_dual_check(
-            space.original, y1, y2, samples=10, seed=rng.randint(0, 10**9)
-        ):
+        if primary and not sampled_dual_check(space.original, y1, y2):
             mismatches += 1
     checks.append(
         (

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -110,7 +111,7 @@ def dot(u: Vec, v: Vec) -> Fraction:
 def vec_add(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"add of lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:

@@ -11,13 +11,13 @@ implementation it guards:
   spanning rays, never consulting the closed-form facet products.
 * enumerate_simple_paths lists every simple path by exhaustive search, so
   the label-setting solver can be compared against filter-after-enumerate.
-* sampled_dual_check probes weak dominance with explicit consistent
-  disutility vectors; a False refutes dominance outright, a True is only
-  supporting evidence.
+* sampled_dual_check probes weak dominance with the rows of the
+  representation matrix, each an explicit consistent disutility vector; a
+  False refutes dominance outright, a True is only supporting evidence.
 
 The public functions take and return Fraction vectors.  Inside, the
 elimination works on Python ints: Fourier-Motzkin rows, double-description constraints
-and generators, and the dual-check probes are scaled by positive integers
+and generators, and the dual-check rows are scaled by positive integers
 (see exactnum.int_row), which keeps every sign and every ray, so the
 answers are those of the same algorithms run on Fractions.  Certificates are
 verified by Fraction substitution, so a bug in the elimination itself cannot
@@ -26,7 +26,6 @@ silently report the wrong answer.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -50,6 +49,7 @@ from ordcone.exactnum import (
     transpose,
     vec,
     vec_sub,
+    zeros,
 )
 from ordcone.pathsolve import CategoryGraph, Path, PathCapExceeded, UnknownNode
 
@@ -151,6 +151,9 @@ def ray_membership(rays: ConeVRep | Sequence[Vec], target: Sequence) -> Membersh
     if any(len(col) != len(goal) for col in columns):
         raise DimensionMismatch(f"every ray must have the target's length {len(goal)}")
     m = len(columns)
+    if not goal:
+        # every ray is the empty vector, so any coefficients sum to the target
+        return MembershipCertificate(feasible=True, coefficients=zeros(m), witness=None)
     if m == 0:
         if is_zero(goal):
             return MembershipCertificate(feasible=True, coefficients=(), witness=None)
@@ -376,19 +379,14 @@ def enumerate_simple_paths(
     return found
 
 
-def sampled_dual_check(
-    weights: Weights,
-    y1: Sequence,
-    y2: Sequence,
-    samples: int = 20,
-    seed: int = 0,
-) -> bool:
+def sampled_dual_check(weights: Weights, y1: Sequence, y2: Sequence) -> bool:
     """Spot-check weak dominance of y1 over y2 with consistent disutilities.
 
-    Scores both vectors under every row of the representation matrix and
-    under `samples` random nonnegative combinations of those rows (all of
-    which are consistent disutility vectors).  A False return refutes weak
-    dominance; a True return is evidence, not proof.
+    Scores y2 - y1 under every row of the representation matrix, each of
+    which is a consistent disutility vector.  A False return refutes weak
+    dominance; a True return is evidence, not proof.  Nonnegative mixes of
+    the rows would add nothing: a mix of rows that all score the difference
+    nonnegatively scores it nonnegatively too.
     """
     k = weights.k
     a = vec(y1)
@@ -396,14 +394,4 @@ def sampled_dual_check(
     if len(a) != k or len(b) != k:
         raise DimensionMismatch(f"expected {k} components, got {len(a)} and {len(b)}")
     difference = int_row(vec_sub(b, a))
-    rows = representation_matrix(weights)
-    # one scale for the whole matrix, so a mix of scaled rows is a positive
-    # multiple of the same mix of the rows themselves
-    flat = int_row(x for row in rows for x in row)
-    scaled = [flat[i : i + k] for i in range(0, len(flat), k)]
-    rng = random.Random(seed)
-    probes = list(scaled)
-    for _ in range(samples):
-        mix = int_row([Fraction(rng.randint(0, 8), rng.randint(1, 8)) for _ in rows])
-        probes.append(tuple(sum(map(mul, mix, column)) for column in zip(*scaled)))
-    return all(_idot(nu, difference) >= 0 for nu in probes)
+    return all(_idot(int_row(row), difference) >= 0 for row in representation_matrix(weights))

@@ -18,6 +18,11 @@ exactly what it would on the rationals, while every comparison is on plain
 ints.  Counting vectors are not carried by labels; they are rebuilt once per
 returned path with `counting_vector`.
 
+Nodes are numbered once per search, in sorted node-id order, so the heap
+breaks cost ties by number exactly as it would by name.  A label's visited
+set is an int bitmask over those numbers, and a popped label is rescanned
+only against the permanent labels its push test has not already seen.
+
 Two result modes exist.  `one_per_vector` returns one representative path
 per efficient outcome vector; `all_paths` returns every efficient path,
 bounded by an explicit cap because ties can multiply paths combinatorially.
@@ -241,12 +246,15 @@ def map_graph(space: OutcomeSpace, graph: CategoryGraph) -> CategoryGraph:
 
 
 class _Label:
-    __slots__ = ("node", "tcost", "visited", "pred", "edge")
+    """A partial path: its visited-node bitmask, how many permanent labels
+    at its node the push test already cleared it against, and the edge that
+    reached it from its predecessor label."""
 
-    def __init__(self, node, tcost, visited, pred, edge) -> None:
-        self.node = node
-        self.tcost = tcost
+    __slots__ = ("visited", "checked", "pred", "edge")
+
+    def __init__(self, visited, checked, pred, edge) -> None:
         self.visited = visited
+        self.checked = checked
         self.pred = pred
         self.edge = edge
 
@@ -294,11 +302,24 @@ def efficient_paths(
     empty path.  The weights must be pointed; degenerate weights have no
     strict dominance to prune with (resolve them first with
     cone.outcome_space and route in map_graph(space, graph) under
-    space.active).  The per-label `visited` sets are redundant: lengths are
+    space.active).
+
+    The search runs on integer node numbers, assigned once per call in
+    sorted node-id order.  The heap key is (cost, node number, push
+    counter), and because numbers follow names, equal costs break ties
+    exactly as the node ids themselves would.  A label's `visited` set is an
+    int bitmask over the node numbers.  It is redundant: lengths are
     positive and the facet matrix has full column rank, so a walk that
     re-enters a node is strictly dominated by its own permanent ancestor
-    label there and is pruned at push.  They stay because the set test is
-    cheaper than the dominance scan it skips; route-grid ran slower without.
+    label there and is pruned at push.  It stays because the bit test is
+    cheaper than the dominance scan it skips.
+
+    A label is tested for dominance twice: against the permanent labels at
+    its node when it is pushed, and again when it is popped.  Permanent
+    lists only grow during a call, and the push test already cleared the
+    label against the first `checked` of them, so the pop test scans only
+    the ones added since; every prune decision is the one a full rescan
+    would make.
     """
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -323,35 +344,41 @@ def efficient_paths(
     columns = transpose(
         tuple(tuple(_scaled(x, matrix_scale) for x in row) for row in hrep.rows)
     )
-    cost_of_edge: list[ScaledCost] = [
-        tuple(
-            _scaled(edge.length, length_scale) * c
-            for c in columns[edge.category - 1]
-        )
-        for edge in graph.edges
-    ]
+    cost_of_edge: list[ScaledCost] = []
+    for edge in graph.edges:
+        length = _scaled(edge.length, length_scale)
+        cost_of_edge.append(tuple(length * c for c in columns[edge.category - 1]))
     merge_equal = mode == "one_per_vector"
-    rows = len(hrep.rows)
+
+    names = sorted(graph.nodes)
+    number = {name: i for i, name in enumerate(names)}
+    # per node number: (destination number, its visited bit, edge index),
+    # in graph.adjacency order
+    out_arcs = [
+        tuple(
+            (number[graph.edges[i].dst], 1 << number[graph.edges[i].dst], i)
+            for i in graph.adjacency[name]
+        )
+        for name in names
+    ]
+    origin = number[source]
+    goal = number[target]
 
     counter = itertools.count()
-    start = _Label(
-        node=source,
-        tcost=(0,) * rows,
-        visited=frozenset((source,)),
-        pred=None,
-        edge=None,
-    )
-    heap: list[tuple[ScaledCost, str, int, _Label]] = [
-        (start.tcost, source, next(counter), start)
+    heap: list[tuple[ScaledCost, int, int, _Label]] = [
+        ((0,) * len(hrep.rows), origin, next(counter), _Label(1 << origin, 0, None, None))
     ]
-    permanent: dict[str, list[ScaledCost]] = {name: [] for name in graph.nodes}
+    permanent: list[list[ScaledCost]] = [[] for _ in names]
     finished: list[_Label] = []
     while heap:
-        _, _, _, label = heapq.heappop(heap)
-        if _strictly_dominated(label.tcost, permanent[label.node], merge_equal):
+        tcost, node, _, label = heapq.heappop(heap)
+        settled = permanent[node]
+        if len(settled) > label.checked and _strictly_dominated(
+            tcost, settled[label.checked :], merge_equal
+        ):
             continue
-        permanent[label.node].append(label.tcost)
-        if label.node == target:
+        settled.append(tcost)
+        if node == goal:
             finished.append(label)
             if cap is not None and len(finished) > cap:
                 raise PathCapExceeded(
@@ -360,26 +387,21 @@ def efficient_paths(
             # A simple path never leaves and re-enters its endpoint, so
             # labels at the target need no extension.
             continue
-        for edge_index in graph.adjacency[label.node]:
-            edge = graph.edges[edge_index]
-            if edge.dst in label.visited:
+        visited = label.visited
+        for dst, bit, edge_index in out_arcs[node]:
+            if visited & bit:
                 continue
-            tcost = vec_add(label.tcost, cost_of_edge[edge_index])
-            if _strictly_dominated(tcost, permanent[edge.dst], merge_equal):
+            extended = vec_add(tcost, cost_of_edge[edge_index])
+            reached = permanent[dst]
+            if _strictly_dominated(extended, reached, merge_equal):
                 continue
             heapq.heappush(
                 heap,
                 (
-                    tcost,
-                    edge.dst,
+                    extended,
+                    dst,
                     next(counter),
-                    _Label(
-                        node=edge.dst,
-                        tcost=tcost,
-                        visited=label.visited | {edge.dst},
-                        pred=label,
-                        edge=edge_index,
-                    ),
+                    _Label(visited | bit, len(reached), label, edge_index),
                 ),
             )
     paths = [_path_of(label) for label in finished]

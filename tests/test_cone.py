@@ -468,7 +468,7 @@ def test_merge_preserves_dominance_exactly():
         a1 = mat_vec(lift, y1)
         a2 = mat_vec(lift, y2)
         if weakly_dominates(h, a1, a2):
-            assert sampled_dual_check(w, y1, y2, samples=15, seed=rng.randint(0, 10**6))
+            assert sampled_dual_check(w, y1, y2)
         else:
             diff = vec(x2 - x1 for x1, x2 in zip(y1, y2))
             assert any(dot(lifted, diff) < 0 for lifted in lifted_rows)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from operator import le
 
 import pytest
 
 from instancegen import degenerate_weights, load_fixture, pointed_weights, random_graph
 from ordcone.cone import NotPointed, classify_weights, facet_matrix, merge_degenerate
 from ordcone.dominance import PointSet, filter_nondominated
-from ordcone.exactnum import mat_vec
+from ordcone.exactnum import mat_vec, transpose, vec_add, zeros
 from ordcone.oracle import enumerate_simple_paths
 from ordcone.pathsolve import (
     BadEdge,
@@ -245,6 +249,171 @@ def test_solver_matches_enumeration_small_random():
         fractional_lengths += any(e.length.denominator != 1 for e in graph.edges)
         checked += 1
     assert fractional_lengths > 0
+
+
+class _RefLabel:
+    __slots__ = ("node", "tcost", "visited", "pred", "edge")
+
+    def __init__(self, node, tcost, visited, pred, edge) -> None:
+        self.node = node
+        self.tcost = tcost
+        self.visited = visited
+        self.pred = pred
+        self.edge = edge
+
+
+def _ref_scaled(value, scale):
+    return value.numerator * (scale // value.denominator)
+
+
+def _ref_strictly_dominated(tcost, permanent, merge_equal):
+    for other in permanent:
+        if all(map(le, other, tcost)):
+            if other != tcost or merge_equal:
+                return True
+    return False
+
+
+def _ref_path_of(label):
+    edges = []
+    while label.pred is not None:
+        edges.append(label.edge)
+        label = label.pred
+    edges.reverse()
+    return tuple(edges)
+
+
+def _reference_efficient_paths(graph, source, target, weights, mode, cap):
+    """The label loop as it was before node numbers and bitmasks.
+
+    Nodes are looked up by name, each label carries a frozenset of visited
+    names, and a popped label is rescanned against every permanent label at
+    its node.  It is the reference that efficient_paths must match exactly:
+    the same paths and vectors in the same order, and the same cap overflow.
+    """
+    if source == target:
+        return [((), zeros(graph.k))]
+
+    hrep = facet_matrix(weights)
+    matrix_scale = lcm(*(x.denominator for row in hrep.rows for x in row))
+    length_scale = lcm(*(edge.length.denominator for edge in graph.edges))
+    columns = transpose(
+        tuple(tuple(_ref_scaled(x, matrix_scale) for x in row) for row in hrep.rows)
+    )
+    cost_of_edge = [
+        tuple(
+            _ref_scaled(edge.length, length_scale) * c
+            for c in columns[edge.category - 1]
+        )
+        for edge in graph.edges
+    ]
+    merge_equal = mode == "one_per_vector"
+    rows = len(hrep.rows)
+
+    counter = itertools.count()
+    start = _RefLabel(
+        node=source,
+        tcost=(0,) * rows,
+        visited=frozenset((source,)),
+        pred=None,
+        edge=None,
+    )
+    heap = [(start.tcost, source, next(counter), start)]
+    permanent = {name: [] for name in graph.nodes}
+    finished = []
+    while heap:
+        _, _, _, label = heapq.heappop(heap)
+        if _ref_strictly_dominated(label.tcost, permanent[label.node], merge_equal):
+            continue
+        permanent[label.node].append(label.tcost)
+        if label.node == target:
+            finished.append(label)
+            if cap is not None and len(finished) > cap:
+                raise PathCapExceeded(
+                    f"more than {cap} efficient paths; raise the cap to continue"
+                )
+            # A simple path never leaves and re-enters its endpoint, so
+            # labels at the target need no extension.
+            continue
+        for edge_index in graph.adjacency[label.node]:
+            edge = graph.edges[edge_index]
+            if edge.dst in label.visited:
+                continue
+            tcost = vec_add(label.tcost, cost_of_edge[edge_index])
+            if _ref_strictly_dominated(tcost, permanent[edge.dst], merge_equal):
+                continue
+            heapq.heappush(
+                heap,
+                (
+                    tcost,
+                    edge.dst,
+                    next(counter),
+                    _RefLabel(
+                        node=edge.dst,
+                        tcost=tcost,
+                        visited=label.visited | {edge.dst},
+                        pred=label,
+                        edge=edge_index,
+                    ),
+                ),
+            )
+    paths = [_ref_path_of(label) for label in finished]
+    return [(path, counting_vector(graph, path)) for path in paths]
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except PathCapExceeded as exc:
+        return str(exc)
+
+
+def test_solver_matches_reference_label_loop():
+    # Node ids are drawn so that declaration order, numeric order and sorted
+    # order all differ ("v7" sorts after "v10").  Short integer lengths and
+    # repeated edges make costs tie, so the heap's tie-break decides the
+    # order; unreachable targets, source == target and cap overflows occur
+    # too, and each kind is counted so the seed keeps covering it.
+    rng = random.Random(19)
+    seen = {"unreachable": 0, "same": 0, "parallel": 0, "capped": 0, "tied": 0}
+    for trial in range(360):
+        k = 1 + trial % 4
+        n = rng.randint(2, 9)
+        names = [f"v{i}" for i in rng.sample(range(40), n)]
+        edges = []
+        for _ in range(rng.randint(1, 3 * n)):
+            a, b = rng.sample(names, 2)
+            if rng.random() < 0.6:
+                length = Fraction(rng.randint(1, 2))
+            else:
+                length = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            edges.append(Edge(a, b, rng.randint(1, k), length))
+            if rng.random() < 0.2:
+                edges.append(edges[-1])
+        graph = CategoryGraph(k=k, nodes=names, edges=edges)
+        source, target = rng.sample(names, 2)
+        if rng.random() < 0.1:
+            source = target
+        w = pointed_weights(rng, k, positive=rng.random() < 0.5)
+        for mode in ("one_per_vector", "all_paths"):
+            args = (graph, source, target, w, mode, None)
+            expected = _reference_efficient_paths(*args)
+            assert efficient_paths(*args) == expected, (trial, mode)
+            if len(expected) > 1:
+                cap = rng.randrange(len(expected))
+                capped = (graph, source, target, w, mode, cap)
+                reference = _outcome(_reference_efficient_paths, *capped)
+                assert isinstance(reference, str)
+                assert _outcome(efficient_paths, *capped) == reference, (trial, mode)
+                seen["capped"] += 1
+            if mode == "all_paths":
+                vectors = [v for _, v in expected]
+                seen["tied"] += len(set(vectors)) < len(vectors)
+                seen["unreachable"] += not expected
+                seen["same"] += source == target
+        pairs = [(e.src, e.dst) for e in edges]
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_weight_sweep_records_errors_per_row():
